@@ -23,6 +23,17 @@ def _trim(exps):
     return exps
 
 
+def accumulate(out, key, c):
+    """Add c to out[key] in a sparse dict, dropping the key when the sum is
+    zero, so that no zero coefficient is ever stored."""
+    s = out.get(key)
+    s = c if s is None else s + c
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
 class APoly:
     """Integer polynomial in countably many ordered symbols a1 > a2 > ..."""
 
@@ -82,11 +93,7 @@ class APoly:
             return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            accumulate(out, e, c)
         p = APoly()
         p.terms = out
         return p
@@ -120,12 +127,9 @@ class APoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = _trim(a + b for a, b in zip_longest(e1, e2, fillvalue=0))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
+                accumulate(out, _trim(a + b for a, b in
+                                      zip_longest(e1, e2, fillvalue=0)),
+                           c1 * c2)
         p = APoly()
         p.terms = out
         return p
@@ -155,15 +159,7 @@ class APoly:
 
     def max_index(self):
         """Largest i such that a_i occurs (0 for constants)."""
-        return max((len(e) for e in self.terms), default=0)
-
-    def total_degrees(self):
-        """Set of total degrees of the monomials present."""
-        return {sum(e) for e in self.terms}
-
-    def coefficients(self):
-        """The nonzero integer coefficients, keyed by exponent tuple."""
-        return dict(self.terms)
+        return max(map(len, self.terms), default=0)
 
     def flip_by_degree_parity(self):
         """Negate every monomial of odd total degree (the substitution
@@ -174,23 +170,29 @@ class APoly:
 
     # -- specialization ----------------------------------------------------
 
-    def specialize(self, values):
-        """Substitute values[i-1] for a_i.  Each value may be an int or an
-        APoly (typically a polynomial in the single symbol q).  Raises
-        ValueError if the polynomial mentions a generator beyond the list."""
+    def evaluate(self, values):
+        """The value at a_i = values[i-1]: a plain int when every value is an
+        int, otherwise an APoly (values may be APolys, typically polynomials
+        in the single symbol q).  Raises ValueError if the polynomial
+        mentions a generator beyond the list."""
         if self.max_index() > len(values):
             raise ValueError(
                 f"polynomial uses a{self.max_index()} but only "
                 f"{len(values)} values were supplied")
-        vals = [v if isinstance(v, APoly) else APoly.const(v) for v in values]
-        out = APoly()
+        total = 0
         for e, c in self.terms.items():
-            term = APoly.const(c)
+            term = c
             for i, power in enumerate(e):
                 if power:
-                    term = term * vals[i] ** power
-            out = out + term
-        return out
+                    term = term * values[i] ** power
+            total = total + term
+        return total
+
+    def specialize(self, values):
+        """Substitute values[i-1] for a_i, as evaluate() does, but always
+        return an APoly."""
+        value = self.evaluate(values)
+        return value if isinstance(value, APoly) else APoly.const(value)
 
     # -- canonical text form -----------------------------------------------
 
@@ -202,25 +204,8 @@ class APoly:
     def render(self, var="a"):
         """Canonical string: graded-lex descending monomials joined by
         ' + ' / ' - ', magnitude-1 coefficients elided next to symbols."""
-        if not self.terms:
-            return "0"
-        pieces = []
-        for idx, (e, c) in enumerate(self._sorted_terms()):
-            factors = []
-            for i, power in enumerate(e):
-                if power == 0:
-                    continue
-                sym = var if var != "a" else f"a{i + 1}"
-                factors.append(sym if power == 1 else f"{sym}^{power}")
-            mag = abs(c)
-            if mag != 1 or not factors:
-                factors.insert(0, str(mag))
-            body = "*".join(factors)
-            if idx == 0:
-                pieces.append(body if c > 0 else "-" + body)
-            else:
-                pieces.append((" + " if c > 0 else " - ") + body)
-        return "".join(pieces)
+        return join_signed(_signed_monomial(c, monomial_factors(e, var))
+                           for e, c in self._sorted_terms())
 
     def __repr__(self):
         return self.render()
@@ -232,6 +217,76 @@ def _rebuild_apoly(terms):
     return p
 
 
+class APolyModule:
+    """Shared arithmetic of the sparse Z[a]-modules QuotElem and XPoly:
+    ``terms`` maps a basis key to a nonzero APoly coefficient.  Subclasses
+    provide ``_new(terms)``, an element of the same context holding the given
+    terms, and ``_check_same(other)``, which rejects a mixed context."""
+
+    __slots__ = ("terms",)
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check_same(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            accumulate(out, key, c)
+        return self._new(out)
+
+    def __neg__(self):
+        return self._new({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        """The scalar multiple by an int or APoly."""
+        if isinstance(other, int):
+            other = APoly.const(other)
+        elif not isinstance(other, APoly):
+            return NotImplemented
+        if not other:
+            return self._new({})
+        return self._new({key: c * other for key, c in self.terms.items()})
+
+
+def monomial_factors(exps, var):
+    """The factor strings of one monomial, e.g. ['a1^2', 'a3']: the symbols
+    are var1, var2, ... except for the single symbol q."""
+    factors = []
+    for i, power in enumerate(exps):
+        if power:
+            sym = var if var == "q" else f"{var}{i + 1}"
+            factors.append(sym if power == 1 else f"{sym}^{power}")
+    return factors
+
+
+def _signed_monomial(c, factors):
+    """(body, is_positive) of the integer c times the factors, with a
+    magnitude-1 coefficient elided next to a factor."""
+    mag = abs(c)
+    if mag != 1 or not factors:
+        factors = [str(mag)] + factors
+    return "*".join(factors), c > 0
+
+
+def join_signed(terms):
+    """Join (body, is_positive) pairs as 'b1 - b2 + b3', with a leading
+    minus when the first is negative; '0' when there are none."""
+    pieces = []
+    for body, positive in terms:
+        if pieces:
+            pieces.append(" + " if positive else " - ")
+        elif not positive:
+            pieces.append("-")
+        pieces.append(body)
+    return "".join(pieces) or "0"
+
+
 def attach_coefficient(c, factors, var="a"):
     """Render the APoly coefficient c attached to a list of monomial factor
     strings, as used by element/polynomial renderers.  Returns
@@ -240,17 +295,7 @@ def attach_coefficient(c, factors, var="a"):
     (or, with no factors, inlined after pulling out a leading minus)."""
     if len(c.terms) == 1:
         (e, coeff), = c.terms.items()
-        afactors = []
-        for i, power in enumerate(e):
-            if power == 0:
-                continue
-            sym = var if var != "a" else f"a{i + 1}"
-            afactors.append(sym if power == 1 else f"{sym}^{power}")
-        allf = afactors + list(factors)
-        mag = abs(coeff)
-        if mag != 1 or not allf:
-            allf = [str(mag)] + allf
-        return "*".join(allf), coeff > 0
+        return _signed_monomial(coeff, monomial_factors(e, var) + factors)
     s = c.render(var)
     if not factors:
         if s.startswith("-"):

@@ -18,12 +18,14 @@ cross-checked rather than expanded symbolically.
 
 from functools import lru_cache
 
-from .apoly import APoly, ZERO, ONE
+from .apoly import ZERO, ONE
 from .partitions import (
     check_partition, cmp_graded_dominance, cmp_size_antidominance, conjugate,
     enumerate_pkn, in_box, partitions_in_rect, size, GREATER,
 )
-from .quotient import QuotElem, check_context, multiply, straighten_schur
+from .quotient import (
+    QuotElem, _parallel_map, check_context, multiply, straighten_schur,
+)
 from .tableaux import kostka
 
 FAMILIES = ("h", "m", "e", "p", "ht")
@@ -209,18 +211,6 @@ def unitriangularity_check(k, n, family):
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def _eval_int(c, vals):
-    """Evaluate an APoly at integer points (vals[i] for a_{i+1})."""
-    total = 0
-    for e, coeff in c.terms.items():
-        term = coeff
-        for i, power in enumerate(e):
-            if power:
-                term *= vals[i] ** power
-        total += term
-    return total
-
-
 def _bareiss_det(mat):
     """Exact determinant of an integer matrix (fraction-free elimination)."""
     m = [list(row) for row in mat]
@@ -270,7 +260,7 @@ def classify_family(k, n, family):
     rows = change_of_basis_matrix(k, n, family)
     at_zero = [[c.terms.get((), 0) for c in row] for row in rows]
     primes = _PRIMES[:k]
-    at_primes = [[_eval_int(c, primes) for c in row] for row in rows]
+    at_primes = [[c.evaluate(primes) for c in row] for row in rows]
     d0 = _bareiss_det(at_zero)
     d1 = _bareiss_det(at_primes)
     if d0 != d1:
@@ -286,12 +276,8 @@ def basis_table(family, n_max, jobs=1):
     """Classification of every cell 1 <= k < n <= n_max; returns
     {(k, n): (verdict, detail)}."""
     cells = [(k, n) for n in range(2, n_max + 1) for k in range(1, n)]
-    if jobs > 1:
-        from .quotient import _parallel_map
-        results = _parallel_map(_classify_cell,
-                                [(k, n, family) for (k, n) in cells], jobs)
-    else:
-        results = [_classify_cell((k, n, family)) for (k, n) in cells]
+    results = _parallel_map(_classify_cell,
+                            [(k, n, family) for (k, n) in cells], jobs)
     return dict(zip(cells, results))
 
 

@@ -12,7 +12,8 @@ Subcommands:
     basis-table  classification grid of a family over 1 <= k < n <= n_max
 
 Exit codes: 0 on success, 1 when a verification scan finds a counterexample,
-2 on usage or parse errors.
+2 on usage or parse errors, 3 when an input is too deep (Python's recursion
+limit) or too large (out of memory) to compute.
 """
 
 import argparse
@@ -44,24 +45,13 @@ def parse_partition_arg(text):
 
 def _elem_output(elem, spec_text, fmt):
     """Render an element, optionally specialized, in the requested format."""
+    terms, var = elem.terms, "a"
     if spec_text is not None:
-        values = parse_specialization(spec_text, elem.k)
-        terms = specialize_elem(elem, values)
-        if fmt == "json":
-            from .partitions import enumerate_pkn
-            ordering = {lam: i
-                        for i, lam in enumerate(enumerate_pkn(elem.k, elem.n))}
-            payload = {
-                "k": elem.k, "n": elem.n, "basis": "s", "spec": spec_text,
-                "terms": [{"partition": list(lam),
-                           "coeff": terms[lam].render("q")}
-                          for lam in sorted(terms, key=ordering.__getitem__)],
-            }
-            return json.dumps(payload)
-        return render_terms(terms, elem.k, elem.n, var="q")
+        terms = specialize_elem(elem, parse_specialization(spec_text, elem.k))
+        var = "q"
     if fmt == "json":
-        return json.dumps(elem.payload())
-    return elem.render()
+        return json.dumps(elem.payload(terms, var, spec_text))
+    return render_terms(terms, elem.k, elem.n, var)
 
 
 def cmd_straighten(args):
@@ -254,6 +244,10 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: input too deep or too large to compute "
+              f"({type(exc).__name__})", file=sys.stderr)
+        return 3
 
 
 def entrypoint():

@@ -15,7 +15,10 @@ x_1 > x_2 > ... > x_k.
 from functools import lru_cache
 from itertools import combinations
 
-from .apoly import APoly, attach_coefficient, iter_poly_terms
+from .apoly import (
+    APoly, APolyModule, accumulate, attach_coefficient, iter_poly_terms,
+    join_signed, monomial_factors,
+)
 import re
 
 
@@ -31,10 +34,10 @@ def deglex_compare(u, v):
     return (ku > kv) - (ku < kv)
 
 
-class XPoly:
+class XPoly(APolyModule):
     """Sparse polynomial in x_1..x_k with APoly coefficients."""
 
-    __slots__ = ("k", "terms")
+    __slots__ = ("k",)
 
     def __init__(self, k, terms=None):
         self.k = k
@@ -60,67 +63,29 @@ class XPoly:
     def const(cls, k, c):
         return cls(k, {(0,) * k: c})
 
+    def _new(self, terms):
+        p = XPoly(self.k)
+        p.terms = terms
+        return p
+
     def _check_same(self, other):
         if self.k != other.k:
             raise ValueError(f"mixed variable counts {self.k} and {other.k}")
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def __eq__(self, other):
         if not isinstance(other, XPoly):
             return NotImplemented
         return self.k == other.k and self.terms == other.terms
 
-    def __add__(self, other):
-        if not isinstance(other, XPoly):
-            return NotImplemented
-        self._check_same(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        p = XPoly(self.k)
-        p.terms = out
-        return p
-
-    def __neg__(self):
-        p = XPoly(self.k)
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, (int, APoly)):
-            other_c = other if isinstance(other, APoly) else APoly.const(other)
-            if not other_c:
-                return XPoly(self.k)
-            p = XPoly(self.k)
-            p.terms = {m: c * other_c for m, c in self.terms.items()}
-            return p
         if not isinstance(other, XPoly):
-            return NotImplemented
+            return super().__mul__(other)
         self._check_same(other)
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                c = c1 * c2
-                s = out.get(m)
-                s = c if s is None else s + c
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        p = XPoly(self.k)
-        p.terms = out
-        return p
+                accumulate(out, tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
+        return self._new(out)
 
     __rmul__ = __mul__
 
@@ -133,24 +98,9 @@ class XPoly:
         """Canonical text: terms in descending deglex; single-monomial
         coefficients are inlined with sign extraction, general coefficients
         parenthesized (or inlined for the x-constant term)."""
-        if not self.terms:
-            return "0"
-        pieces = []
-        for idx, mono in enumerate(sorted(self.terms, key=deglex_key,
-                                          reverse=True)):
-            c = self.terms[mono]
-            xfactors = []
-            for i, power in enumerate(mono):
-                if power == 0:
-                    continue
-                sym = f"x{i + 1}"
-                xfactors.append(sym if power == 1 else f"{sym}^{power}")
-            body, positive = attach_coefficient(c, xfactors)
-            if idx == 0:
-                pieces.append(body if positive else "-" + body)
-            else:
-                pieces.append((" + " if positive else " - ") + body)
-        return "".join(pieces)
+        return join_signed(
+            attach_coefficient(self.terms[mono], monomial_factors(mono, "x"))
+            for mono in sorted(self.terms, key=deglex_key, reverse=True))
 
     def __repr__(self):
         return self.render()
@@ -288,16 +238,8 @@ def normal_form(k, n, p):
         rem = list(worst)
         rem[i] -= bounds[i]
         for tmono, tc in tails[i].terms.items():
-            m = tuple(r + t for r, t in zip(rem, tmono))
-            s = terms.get(m)
-            s = c * tc if s is None else s + c * tc
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-    out = XPoly(k)
-    out.terms = terms
-    return out
+            accumulate(terms, tuple(r + t for r, t in zip(rem, tmono)), c * tc)
+    return p._new(terms)
 
 
 def is_normal(k, n, p):

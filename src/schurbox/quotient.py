@@ -16,10 +16,14 @@ over the vector set V = {(-n, t_2, ..., t_k) : t_i in {0,1}}, each summand
 resolved through the alternant straightening of integer vectors.
 """
 
-from functools import lru_cache
+import os
+from functools import lru_cache, partial
 from itertools import combinations_with_replacement
 
-from .apoly import APoly, ZERO, ONE, attach_coefficient
+from .apoly import (
+    APoly, APolyModule, ZERO, ONE, accumulate, attach_coefficient,
+    join_signed,
+)
 from .partitions import (
     check_box, check_partition, complement, enumerate_pkn, enumerate_v_set,
     horizontal_strip_extensions, in_box, pad, size, straighten_vector,
@@ -41,11 +45,11 @@ def omega(k, n):
     return ((n - k),) * k if n > k else ()
 
 
-class QuotElem:
+class QuotElem(APolyModule):
     """An element sum_lam c_lam s[lam] with c_lam in Z[a_1..a_k] and every
     lam inside the k x (n-k) box."""
 
-    __slots__ = ("k", "n", "terms")
+    __slots__ = ("k", "n")
 
     def __init__(self, k, n, terms=None):
         check_context(k, n)
@@ -73,13 +77,15 @@ class QuotElem:
     def one(cls, k, n):
         return cls(k, n, {(): ONE})
 
+    def _new(self, terms):
+        p = QuotElem(self.k, self.n)
+        p.terms = terms
+        return p
+
     def _check_same(self, other):
         if (self.k, self.n) != (other.k, other.n):
             raise ValueError(
                 f"mixed contexts ({self.k},{self.n}) and ({other.k},{other.n})")
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def __eq__(self, other):
         if not isinstance(other, QuotElem):
@@ -87,41 +93,10 @@ class QuotElem:
         return (self.k, self.n) == (other.k, other.n) and \
             self.terms == other.terms
 
-    def __add__(self, other):
-        if not isinstance(other, QuotElem):
-            return NotImplemented
-        self._check_same(other)
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            s = out.get(lam)
-            s = c if s is None else s + c
-            if s:
-                out[lam] = s
-            else:
-                out.pop(lam, None)
-        p = QuotElem(self.k, self.n)
-        p.terms = out
-        return p
-
-    def __neg__(self):
-        p = QuotElem(self.k, self.n)
-        p.terms = {lam: -c for lam, c in self.terms.items()}
-        return p
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, (int, APoly)):
-            c0 = other if isinstance(other, APoly) else APoly.const(other)
-            if not c0:
-                return QuotElem(self.k, self.n)
-            p = QuotElem(self.k, self.n)
-            p.terms = {lam: c * c0 for lam, c in self.terms.items()}
-            return p
-        if not isinstance(other, QuotElem):
-            return NotImplemented
-        return multiply(self, other)
+        if isinstance(other, QuotElem):
+            return multiply(self, other)
+        return super().__mul__(other)
 
     __rmul__ = __mul__
 
@@ -149,33 +124,35 @@ class QuotElem:
         '-a2*s[3,1,1] + a1^2*s[1,1] - a1*a2*s[1] + a1*a3*s[]'."""
         return render_terms(self.terms, self.k, self.n)
 
-    def payload(self):
-        """JSON-ready dict; terms follow the canonical enumeration order."""
-        ordering = {lam: i for i, lam in enumerate(enumerate_pkn(self.k, self.n))}
-        terms = [{"partition": list(lam), "coeff": self.terms[lam].render()}
-                 for lam in sorted(self.terms, key=ordering.__getitem__)]
-        return {"k": self.k, "n": self.n, "basis": "s", "terms": terms}
+    def payload(self, terms=None, var="a", spec=None):
+        """JSON-ready dict of this element, or of the given coefficients
+        (typically its specialization under spec, polynomials in var) on the
+        same basis; terms follow the canonical enumeration order."""
+        terms = self.terms if terms is None else terms
+        out = {"k": self.k, "n": self.n, "basis": "s"}
+        if spec is not None:
+            out["spec"] = spec
+        out["terms"] = [
+            {"partition": list(lam), "coeff": terms[lam].render(var)}
+            for lam in canonical_order(terms, self.k, self.n)]
+        return out
 
     def __repr__(self):
         return self.render()
 
 
+def canonical_order(lams, k, n):
+    """The box partitions lams, sorted in the canonical enumeration order."""
+    index = {lam: i for i, lam in enumerate(enumerate_pkn(k, n))}
+    return sorted(lams, key=index.__getitem__)
+
+
 def render_terms(terms, k, n, var="a"):
     """Shared text renderer for basis-indexed term dicts (APoly or
-    q-polynomial coefficients)."""
-    if not terms:
-        return "0"
-    ordering = {lam: i for i, lam in enumerate(enumerate_pkn(k, n))}
-    pieces = []
-    for idx, lam in enumerate(sorted(terms, key=ordering.__getitem__,
-                                     reverse=True)):
-        body, positive = attach_coefficient(
-            terms[lam], [f"s[{','.join(map(str, lam))}]"], var=var)
-        if idx == 0:
-            pieces.append(body if positive else "-" + body)
-        else:
-            pieces.append((" + " if positive else " - ") + body)
-    return "".join(pieces)
+    q-polynomial coefficients), largest basis element first."""
+    return join_signed(
+        attach_coefficient(terms[lam], [f"s[{','.join(map(str, lam))}]"], var)
+        for lam in reversed(canonical_order(terms, k, n)))
 
 
 # -- straightening -----------------------------------------------------------
@@ -195,11 +172,7 @@ def _straighten(k, n, mu):
         sgn, lam = res
         coeff = APoly.gen(j) * (sgn * (-1 if (k - j) % 2 else 1))
         for nu, c in _straighten(k, n, lam):
-            s = out.get(nu, ZERO) + coeff * c
-            if s:
-                out[nu] = s
-            else:
-                out.pop(nu, None)
+            accumulate(out, nu, coeff * c)
     return tuple(sorted(out.items()))
 
 
@@ -224,11 +197,7 @@ def _basis_product(k, n, lam, mu):
     out = {}
     for rho, c in schur_product_expand(lam, mu, k).items():
         for nu, ap in _straighten(k, n, rho):
-            s = out.get(nu, ZERO) + ap * c
-            if s:
-                out[nu] = s
-            else:
-                out.pop(nu, None)
+            accumulate(out, nu, ap * c)
     return tuple(sorted(out.items()))
 
 
@@ -241,14 +210,8 @@ def multiply(f, g):
         for mu, cg in g.terms.items():
             c = cf * cg
             for nu, ap in _basis_product(k, n, lam, mu):
-                s = out.get(nu, ZERO) + c * ap
-                if s:
-                    out[nu] = s
-                else:
-                    out.pop(nu, None)
-    p = QuotElem(k, n)
-    p.terms = out
-    return p
+                accumulate(out, nu, c * ap)
+    return f._new(out)
 
 
 def coeff(f, mu):
@@ -287,7 +250,7 @@ def pieri_h(k, n, lam, j):
         raise ValueError(f"need 0 <= j <= n-k = {n - k}, got j={j}")
     out = {}
     for mu in horizontal_strip_extensions(lam, j, k, n - k):
-        out[mu] = out.get(mu, ZERO) + ONE
+        accumulate(out, mu, ONE)
     for i in range(1, k + 1):
         hook = (n - k - j + 1,) + (1,) * (i - 1)
         d = size(lam) - (n - k - j + i)
@@ -297,13 +260,9 @@ def pieri_h(k, n, lam, j):
         for nu in subpartitions_of_size(lam, d):
             c = lr_coefficient(lam, hook, nu)
             if c:
-                s = out.get(nu, ZERO) + coeff_i * c
-                if s:
-                    out[nu] = s
-                else:
-                    out.pop(nu, None)
+                accumulate(out, nu, coeff_i * c)
     p = QuotElem(k, n)
-    p.terms = {lam2: c for lam2, c in out.items() if c}
+    p.terms = out
     return p
 
 
@@ -344,10 +303,7 @@ def s3_report(k, n, jobs=1):
     check_context(k, n)
     basis = enumerate_pkn(k, n)
     triples = list(combinations_with_replacement(basis, 3))
-    if jobs > 1:
-        results = _parallel_map(_s3_triple, [(k, n, t) for t in triples], jobs)
-    else:
-        results = [_s3_triple((k, n, t)) for t in triples]
+    results = _parallel_map(partial(_s3_triple, k, n), triples, jobs)
     counterexamples = [r for r in results if r is not None]
     return {
         "k": k, "n": n,
@@ -357,8 +313,8 @@ def s3_report(k, n, jobs=1):
     }
 
 
-def _s3_triple(args):
-    k, n, (alpha, beta, gamma) = args
+def _s3_triple(k, n, triple):
+    alpha, beta, gamma = triple
     w = omega(k, n)
     comp = {p: complement(p, k, n) for p in (alpha, beta, gamma)}
     values = [
@@ -391,11 +347,7 @@ def positivity_scan(k, n, jobs=1):
     check_context(k, n)
     basis = enumerate_pkn(k, n)
     pairs = list(combinations_with_replacement(basis, 2))
-    if jobs > 1:
-        chunks = _parallel_map(_positivity_pair, [(k, n, p) for p in pairs],
-                               jobs)
-    else:
-        chunks = [_positivity_pair((k, n, p)) for p in pairs]
+    chunks = _parallel_map(partial(_positivity_pair, k, n), pairs, jobs)
     violations = [v for chunk in chunks for v in chunk]
     return {
         "k": k, "n": n,
@@ -405,8 +357,8 @@ def positivity_scan(k, n, jobs=1):
     }
 
 
-def _positivity_pair(args):
-    k, n, (lam, mu) = args
+def _positivity_pair(k, n, pair):
+    lam, mu = pair
     flip = (n - k - 1) % 2 == 1
     bad = []
     for nu, g in _basis_product(k, n, lam, mu):
@@ -419,7 +371,21 @@ def _positivity_pair(args):
     return bad
 
 
+def worker_count(jobs, n_items):
+    """Worker processes to use for n_items when jobs are requested: at least
+    one, and never more than one per CPU or per item."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return max(1, min(jobs, os.cpu_count() or 1, n_items))
+
+
 def _parallel_map(fn, items, jobs):
+    """[fn(x) for x in items], spread over worker_count(jobs, len(items))
+    processes when that is more than one."""
+    workers = worker_count(jobs, len(items))
+    if workers == 1:
+        return [fn(x) for x in items]
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items, chunksize=max(1, len(items) // (jobs * 4))))
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        return list(ex.map(fn, items,
+                           chunksize=max(1, len(items) // (workers * 4))))

@@ -10,9 +10,11 @@ routes against each other and against exact polynomial multiplication.
 
 from functools import lru_cache
 
+from .apoly import accumulate
 from .partitions import (
-    check_partition, contains, dominates, entrywise_sum, pad,
-    sorted_concat, straighten_vector,
+    check_partition, contains, dominates, entrywise_sum,
+    horizontal_strip_restrictions, pad, partitions_in_rect, sorted_concat,
+    straighten_vector,
 )
 
 
@@ -34,27 +36,9 @@ def kostka(lam, mu):
     last = mu[-1]
     rest = mu[:-1]
     total = 0
-    for kappa in _strip_removals(lam, last):
+    for kappa in horizontal_strip_restrictions(lam, last):
         total += kostka(kappa, rest)
     return total
-
-
-def _strip_removals(lam, j):
-    """Partitions kappa <= lam with lam/kappa a horizontal strip of size j."""
-    k = len(lam)
-    out = []
-
-    def rec(i, remaining, prefix):
-        if i == k:
-            if remaining == 0:
-                out.append(check_partition(tuple(prefix)))
-            return
-        lo = max(lam[i + 1] if i + 1 < k else 0, lam[i] - remaining)
-        for m in range(lam[i], lo - 1, -1):
-            rec(i + 1, remaining - (lam[i] - m), prefix + [m])
-
-    rec(0, j, [])
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -184,16 +168,11 @@ def skew_schur_expand(lam, mu):
         return {}
     d = sum(lam) - sum(mu)
     out = {}
-    for nu in _bounded_partitions(d, len(lam), lam[0] if lam else 0):
+    for nu in partitions_in_rect(d, len(lam), lam[0] if lam else 0):
         c = lr_coefficient(lam, mu, nu)
         if c:
             out[nu] = c
     return out
-
-
-def _bounded_partitions(d, max_len, max_part):
-    from .partitions import partitions_in_rect
-    return partitions_in_rect(d, max_len, max_part)
 
 
 def uncancelled_pieri(alpha, m):
@@ -214,11 +193,7 @@ def uncancelled_pieri(alpha, m):
             res = straighten_vector(tuple(vec) + (alpha[i] + remaining,))
             if res is not None:
                 sign, lam = res
-                val = out.get(lam, 0) + sign
-                if val:
-                    out[lam] = val
-                else:
-                    del out[lam]
+                accumulate(out, lam, sign)
             return
         for add in range(remaining + 1):
             rec(i + 1, remaining - add, vec + [alpha[i] + add])

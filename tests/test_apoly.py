@@ -112,6 +112,14 @@ def test_specialize_integers():
         (a3 + a1).specialize([1, 2])
 
 
+@given(apolys(max_vars=3), st.integers(min_value=-4, max_value=4),
+       st.integers(min_value=-4, max_value=4))
+def test_evaluate_at_ints_stays_int(p, v1, v2):
+    value = p.evaluate([v1, v2, 7])
+    assert type(value) is int
+    assert value == p.specialize([v1, v2, 7]).const_value()
+
+
 @given(apolys(max_vars=2), apolys(max_vars=2),
        st.integers(min_value=-4, max_value=4),
        st.integers(min_value=-4, max_value=4))

@@ -1,10 +1,13 @@
 """The command-line interface: output strings, JSON payloads, exit codes."""
 
 import json
+import os
 
 import pytest
 
+from schurbox import cli
 from schurbox.cli import main, parse_partition_arg
+from schurbox.quotient import worker_count
 
 
 def run(capsys, *argv):
@@ -175,6 +178,30 @@ def test_positivity_scan_json(capsys):
     assert payload["ok"] is True and payload["violations"] == []
 
 
+@pytest.mark.parametrize("argv", [
+    ("positivity", "--k", "2", "--n", "4"),
+    ("s3", "--k", "2", "--n", "4"),
+    ("basis-table", "--family", "e", "--n-max", "4"),
+])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_usage_error(capsys, argv, jobs):
+    rc, out, err = run(capsys, *argv, "--jobs", jobs)
+    assert rc == 2 and out == ""
+    assert err == f"error: jobs must be at least 1, got {jobs}\n"
+
+
+def test_worker_count_is_capped():
+    cpus = os.cpu_count() or 1
+    assert worker_count(1, 100) == 1
+    assert worker_count(2, 100) == min(2, cpus)
+    assert worker_count(10**6, 3) == min(3, cpus)
+    assert worker_count(10**6, 10**6) == cpus
+    assert worker_count(4, 0) == 1
+    for jobs in (0, -3):
+        with pytest.raises(ValueError):
+            worker_count(jobs, 10)
+
+
 # -- basis-table --------------------------------------------------------------------
 
 def test_basis_table_text(capsys):
@@ -206,6 +233,28 @@ def test_basis_table_parallel_matches_serial(capsys):
     rc2, out2, _ = run(capsys, "basis-table", "--family", "e", "--n-max", "5",
                        "--jobs", "2")
     assert rc1 == rc2 == 0 and out1 == out2
+
+
+# -- inputs too deep or too large ------------------------------------------------------
+
+def test_too_deep_input_exits_3_without_traceback(capsys):
+    rc, out, err = run(capsys, "straighten", "--k", "1", "--n", "2",
+                       "--mu", "[3000]")
+    assert rc == 3 and out == ""
+    assert err == "error: input too deep or too large to compute " \
+        "(RecursionError)\n"
+
+
+def test_out_of_memory_exits_3(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "straighten_schur", exhausted)
+    rc, out, err = run(capsys, "straighten", "--k", "2", "--n", "4",
+                       "--mu", "[2,1]")
+    assert rc == 3 and out == ""
+    assert err == "error: input too deep or too large to compute " \
+        "(MemoryError)\n"
 
 
 # -- determinism ---------------------------------------------------------------------
