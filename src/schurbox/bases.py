@@ -20,35 +20,28 @@ from functools import lru_cache
 
 from .apoly import ZERO, ONE
 from .partitions import (
-    check_partition, cmp_graded_dominance, cmp_size_antidominance, conjugate,
-    enumerate_pkn, in_box, partitions_in_rect, size, GREATER,
+    check_in_box, check_partition, cmp_graded_dominance,
+    cmp_size_antidominance, conjugate, enumerate_pkn, partitions_in_rect,
+    size, GREATER,
 )
 from .quotient import (
-    QuotElem, _parallel_map, check_context, multiply, straighten_schur,
+    QuotElem, _parallel_map, check_context, multiply, straighten_combination,
+    straighten_schur,
 )
 from .tableaux import kostka
 
-FAMILIES = ("h", "m", "e", "p", "ht")
-
 
 def _check_indexing(k, n, lam):
-    lam = check_partition(lam)
-    if not in_box(lam, k, n):
-        raise ValueError(f"{lam} does not fit in the {k} x {n - k} box")
-    return lam
+    return check_in_box(check_partition(lam), k, n)
 
 
 def _expand_h_product(k, n, nu):
     """Class of h_nu = h_{nu_1} h_{nu_2} ... for an arbitrary partition nu:
     h_nu = sum over partitions mu of |nu| with at most k parts of
     K_{mu,nu} s_mu, then straightened."""
-    out = QuotElem.zero(k, n)
     d = sum(nu)
-    for mu in partitions_in_rect(d, k, d):
-        c = kostka(mu, nu)
-        if c:
-            out = out + straighten_schur(k, n, mu) * c
-    return out
+    return straighten_combination(k, n, {
+        mu: kostka(mu, nu) for mu in partitions_in_rect(d, k, d)})
 
 
 def expand_h(k, n, lam):
@@ -69,7 +62,7 @@ def _kostka_inverse(k, d):
     parts in lex-descending order and inv is the exact integer inverse of the
     Kostka matrix K[i][j] = K_{stratum_i, stratum_j} (upper unitriangular
     since K_{lam,mu} != 0 forces lam >= mu in dominance, hence in lex)."""
-    stratum = sorted(partitions_in_rect(d, k, d), reverse=True)
+    stratum = tuple(partitions_in_rect(d, k, d))
     r = len(stratum)
     K = [[kostka(stratum[i], stratum[j]) for j in range(r)] for i in range(r)]
     inv = [[0] * r for _ in range(r)]
@@ -77,7 +70,7 @@ def _kostka_inverse(k, d):
         inv[i][i] = 1
         for j in range(i + 1, r):
             inv[i][j] = -sum(inv[i][t] * K[t][j] for t in range(i, j))
-    return tuple(stratum), tuple(tuple(row) for row in inv)
+    return stratum, tuple(tuple(row) for row in inv)
 
 
 def expand_m(k, n, lam):
@@ -87,13 +80,8 @@ def expand_m(k, n, lam):
     check_context(k, n)
     lam = _check_indexing(k, n, lam)
     stratum, inv = _kostka_inverse(k, size(lam))
-    r = stratum.index(lam)
-    out = QuotElem.zero(k, n)
-    for j, mu in enumerate(stratum):
-        c = inv[r][j]
-        if c:
-            out = out + straighten_schur(k, n, mu) * c
-    return out
+    row = inv[stratum.index(lam)]
+    return straighten_combination(k, n, dict(zip(stratum, row)))
 
 
 def s_in_m(k, n, lam):
@@ -126,11 +114,8 @@ def power_sum_class(k, n, r):
     check_context(k, n)
     if r < 1:
         raise ValueError("power sum index must be >= 1")
-    out = QuotElem.zero(k, n)
-    for j in range(min(r, k)):
-        hook = (r - j,) + (1,) * j
-        out = out + straighten_schur(k, n, hook) * (-1 if j % 2 else 1)
-    return out
+    return straighten_combination(k, n, {
+        (r - j,) + (1,) * j: -1 if j % 2 else 1 for j in range(min(r, k))})
 
 
 def expand_p(k, n, lam):
@@ -143,19 +128,22 @@ def expand_p(k, n, lam):
     return out
 
 
+_EXPANDERS = {"h": expand_h, "m": expand_m, "e": expand_e_conj,
+              "p": expand_p, "ht": expand_h_conj}
+FAMILIES = tuple(_EXPANDERS)
+
+
+def _expander(family):
+    """The expander of the named family (ValueError for an unknown name)."""
+    if family not in _EXPANDERS:
+        raise ValueError(
+            f"unknown family {family!r} (expected one of {FAMILIES})")
+    return _EXPANDERS[family]
+
+
 def family_element(k, n, lam, family):
     """The class of the family member indexed by lam."""
-    if family == "h":
-        return expand_h(k, n, lam)
-    if family == "m":
-        return expand_m(k, n, lam)
-    if family == "e":
-        return expand_e_conj(k, n, lam)
-    if family == "p":
-        return expand_p(k, n, lam)
-    if family == "ht":
-        return expand_h_conj(k, n, lam)
-    raise ValueError(f"unknown family {family!r} (expected one of {FAMILIES})")
+    return _expander(family)(k, n, lam)
 
 
 def change_of_basis_matrix(k, n, family):
@@ -255,8 +243,7 @@ def classify_family(k, n, family):
     hence constant, polynomial; it is therefore read off from two integer
     specializations, all a_i = 0 and a_i = i-th prime, which must agree."""
     check_context(k, n)
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r} (expected one of {FAMILIES})")
+    _expander(family)
     rows = change_of_basis_matrix(k, n, family)
     at_zero = [[c.terms.get((), 0) for c in row] for row in rows]
     primes = _PRIMES[:k]

@@ -19,6 +19,7 @@ from .apoly import (
     APoly, APolyModule, accumulate, attach_coefficient, iter_poly_terms,
     join_signed, monomial_factors,
 )
+from .partitions import compositions
 import re
 
 
@@ -140,18 +141,9 @@ def h_on_vars(m, k, lo=1):
         return XPoly.const(k, 1)
     if lo > k:
         return XPoly(k)
-    out = {}
-
-    def rec(i, remaining, mono):
-        if i == k - 1:
-            out[tuple(mono) + (remaining,)] = APoly.const(1)
-            return
-        for d in range(remaining + 1):
-            rec(i + 1, remaining - d, mono + [d])
-
-    rec(lo - 1, m, [0] * (lo - 1))
     p = XPoly(k)
-    p.terms = out
+    p.terms = {(0,) * (lo - 1) + beta: APoly.const(1)
+               for beta in compositions(m, k - lo + 1)}
     return p
 
 

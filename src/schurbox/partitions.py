@@ -8,7 +8,7 @@ implemented in :mod:`schurbox.quotient`.
 """
 
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, combinations, product
 from math import comb
 
 # Four-valued outcome of the partial-order comparisons.
@@ -48,6 +48,13 @@ def in_box(lam, k, n):
     return len(lam) <= k and (not lam or lam[0] <= n - k)
 
 
+def check_in_box(lam, k, n):
+    """Return lambda, or raise ValueError if it does not fit in the box."""
+    if not in_box(lam, k, n):
+        raise ValueError(f"{lam} does not fit in the {k} x {n - k} box")
+    return lam
+
+
 def check_box(k, n):
     """Validate 0 <= k <= n."""
     if not (isinstance(k, int) and isinstance(n, int)):
@@ -56,19 +63,36 @@ def check_box(k, n):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
 
 
+def bounded_partitions(d, hi, lo=()):
+    """Yield the partitions mu of d with lo_i <= mu_i <= hi_i in every row i
+    (rows past the end of hi or lo are bounded by 0), in lexicographically
+    descending order.  The row capacity left below each row is pruned in O(1)
+    from suffix sums of hi and lo, and a branch ends at its first zero part."""
+    rows = max(len(hi), len(lo))
+    hi = tuple(hi) + (0,) * (rows - len(hi))
+    lo = tuple(lo) + (0,) * (rows - len(lo))
+    hi_rest = tuple(accumulate(reversed(hi), initial=0))[::-1]
+    lo_rest = tuple(accumulate(reversed(lo), initial=0))[::-1]
+
+    def rec(i, remaining, prev, prefix):
+        if remaining == 0:
+            if lo_rest[i] == 0:
+                yield prefix
+            return
+        top = min(hi[i], prev, remaining - lo_rest[i + 1])
+        bottom = max(lo[i], 1, remaining - hi_rest[i + 1],
+                     -(-remaining // (rows - i)))
+        for m in range(top, bottom - 1, -1):
+            yield from rec(i + 1, remaining - m, m, prefix + (m,))
+
+    if 0 <= d <= hi_rest[0]:
+        yield from rec(0, d, d, ())
+
+
 def partitions_in_rect(d, max_len, max_part):
     """Yield the partitions of d with at most max_len parts, each <= max_part,
     in lexicographically descending order."""
-    if d == 0:
-        yield ()
-        return
-    if max_len == 0 or max_part == 0 or d > max_len * max_part:
-        return
-    for first in range(min(d, max_part), 0, -1):
-        if d - first > (max_len - 1) * first:
-            continue
-        for rest in partitions_in_rect(d - first, max_len - 1, first):
-            yield (first,) + rest
+    return bounded_partitions(d, (max_part,) * max_len)
 
 
 @lru_cache(maxsize=None)
@@ -88,8 +112,7 @@ def enumerate_pkn(k, n):
 def complement(nu, k, n):
     """The box complement: rotate the complement of nu in the k x (n-k)
     rectangle by 180 degrees.  An involution on P_{k,n}."""
-    if not in_box(nu, k, n):
-        raise ValueError(f"{nu} does not fit in the {k} x {n - k} box")
+    check_in_box(nu, k, n)
     padded = pad(nu, k)
     return check_partition(tuple(n - k - padded[k - 1 - i] for i in range(k)))
 
@@ -229,6 +252,18 @@ def straighten_vector(alpha):
     return sign, check_partition(lam)
 
 
+def compositions(m, slots):
+    """Yield the compositions of m into the given number of nonnegative parts
+    (stars and bars), in lexicographically ascending order."""
+    if slots == 0 or m < 0:
+        if slots == m == 0:
+            yield ()
+        return
+    ends = m + slots - 1
+    for bars in combinations(range(ends), slots - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (ends,)))
+
+
 @lru_cache(maxsize=None)
 def enumerate_v_set(k, n):
     """The 2^(k-1) vectors (-n, t_2, ..., t_k) with t_i in {0, 1} that drive
@@ -241,65 +276,18 @@ def enumerate_v_set(k, n):
 
 def horizontal_strip_extensions(lam, j, k, max_part):
     """All partitions mu >= lam with at most k parts, mu_1 <= max_part, such
-    that mu/lam is a horizontal strip of size j."""
+    that mu/lam is a horizontal strip of size j (lam_i <= mu_i <= lam_{i-1})."""
     lam_p = pad(lam, k)
-    out = []
-
-    def rec(i, remaining, prefix, prev):
-        if i == k:
-            if remaining == 0:
-                out.append(check_partition(prefix))
-            return
-        lo = lam_p[i]
-        # one box per column: mu_i <= lam_{i-1}; also mu weakly decreasing
-        hi = min(prev, (lam_p[i - 1] if i > 0 else max_part), lo + remaining)
-        if i == 0:
-            hi = min(max_part, lo + remaining)
-        for m in range(lo, hi + 1):
-            rec(i + 1, remaining - (m - lo), prefix + [m], m)
-
-    rec(0, j, [], max_part)
-    return out
+    return list(bounded_partitions(size(lam) + j, ((max_part,) + lam_p)[:k],
+                                   lam_p))
 
 
 def horizontal_strip_restrictions(lam, j):
     """All partitions mu <= lam such that lam/mu is a horizontal strip of
-    size j."""
-    k = len(lam)
-    out = []
-
-    def rec(i, remaining, prefix):
-        if i == k:
-            if remaining == 0:
-                out.append(check_partition(prefix))
-            return
-        # strip condition: mu_i >= lam_{i+1}; containment: mu_i <= lam_i;
-        # weakly decreasing is automatic since mu_i >= lam_{i+1} >= mu_{i+1}.
-        lo = max(lam[i + 1] if i + 1 < k else 0, lam[i] - remaining)
-        for m in range(lam[i], lo - 1, -1):
-            rec(i + 1, remaining - (lam[i] - m), prefix + [m])
-
-    rec(0, j, [])
-    return out
+    size j (lam_{i+1} <= mu_i <= lam_i)."""
+    return list(bounded_partitions(size(lam) - j, lam, lam[1:]))
 
 
 def subpartitions_of_size(lam, d):
     """All partitions nu <= lam with |nu| = d."""
-    k = len(lam)
-    out = []
-
-    def rec(i, remaining, prefix, prev):
-        if remaining == 0:
-            out.append(check_partition(tuple(prefix)))
-            return
-        if i == k:
-            return
-        hi = min(lam[i], prev, remaining)
-        for m in range(hi, 0, -1):
-            spare = sum(min(lam[t], m) for t in range(i + 1, k))
-            if remaining - m <= spare:
-                rec(i + 1, remaining - m, prefix + [m], m)
-
-    if 0 <= d <= sum(lam):
-        rec(0, d, [], lam[0] if lam else 0)
-    return out
+    return list(bounded_partitions(d, lam))

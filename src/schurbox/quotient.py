@@ -25,9 +25,9 @@ from .apoly import (
     join_signed,
 )
 from .partitions import (
-    check_box, check_partition, complement, enumerate_pkn, enumerate_v_set,
-    horizontal_strip_extensions, in_box, pad, size, straighten_vector,
-    subpartitions_of_size,
+    check_box, check_in_box, check_partition, complement, enumerate_pkn,
+    enumerate_v_set, horizontal_strip_extensions, in_box, pad, size,
+    straighten_vector, subpartitions_of_size,
 )
 from .tableaux import lr_coefficient, schur_product_expand
 
@@ -57,10 +57,7 @@ class QuotElem(APolyModule):
         self.terms = {}
         if terms:
             for lam, c in terms.items():
-                lam = check_partition(lam)
-                if not in_box(lam, k, n):
-                    raise ValueError(
-                        f"{lam} does not fit in the {k} x {n - k} box")
+                lam = check_in_box(check_partition(lam), k, n)
                 c = c if isinstance(c, APoly) else APoly.const(c)
                 if c:
                     self.terms[lam] = c
@@ -102,10 +99,7 @@ class QuotElem(APolyModule):
 
     def coeff(self, mu):
         """The coefficient of s[mu] (mu must fit in the box)."""
-        mu = check_partition(mu)
-        if not in_box(mu, self.k, self.n):
-            raise ValueError(
-                f"{mu} does not fit in the {self.k} x {self.n - self.k} box")
+        mu = check_in_box(check_partition(mu), self.k, self.n)
         return self.terms.get(mu, ZERO)
 
     def support(self):
@@ -188,17 +182,28 @@ def straighten_schur(k, n, mu):
     return p
 
 
+def straighten_combination(k, n, combination):
+    """The class of sum_mu c_mu s_mu for a dict {mu: c_mu} of int or APoly
+    coefficients on partitions mu with at most k parts; a zero coefficient
+    is skipped without straightening its partition."""
+    out = {}
+    for mu, c in combination.items():
+        if c:
+            for nu, ap in _straighten(k, n, mu):
+                accumulate(out, nu, ap * c)
+    p = QuotElem(k, n)
+    p.terms = out
+    return p
+
+
 # -- multiplication ----------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def _basis_product(k, n, lam, mu):
     """Frozen item tuple of s[lam] * s[mu] for box partitions lam, mu.  The
     cache key is the ordered pair, so commutativity is computed, not assumed."""
-    out = {}
-    for rho, c in schur_product_expand(lam, mu, k).items():
-        for nu, ap in _straighten(k, n, rho):
-            accumulate(out, nu, ap * c)
-    return tuple(sorted(out.items()))
+    product = straighten_combination(k, n, schur_product_expand(lam, mu, k))
+    return tuple(sorted(product.terms.items()))
 
 
 def multiply(f, g):
@@ -225,8 +230,7 @@ def structure_constant(k, n, alpha, beta, gamma):
     check_context(k, n)
     alpha, beta, gamma = (check_partition(p) for p in (alpha, beta, gamma))
     for p in (alpha, beta, gamma):
-        if not in_box(p, k, n):
-            raise ValueError(f"{p} does not fit in the {k} x {n - k} box")
+        check_in_box(p, k, n)
     prod = dict(_basis_product(k, n, alpha, beta))
     return prod.get(complement(gamma, k, n), ZERO)
 
@@ -243,9 +247,7 @@ def pieri_h(k, n, lam, j):
                        sum_{nu <= lam} c^{lam}_{(n-k-j+1, 1^{i-1}), nu} s[nu]
     """
     check_context(k, n)
-    lam = check_partition(lam)
-    if not in_box(lam, k, n):
-        raise ValueError(f"{lam} does not fit in the {k} x {n - k} box")
+    lam = check_in_box(check_partition(lam), k, n)
     if not 0 <= j <= n - k:
         raise ValueError(f"need 0 <= j <= n-k = {n - k}, got j={j}")
     out = {}
@@ -272,12 +274,9 @@ def reduce_h_overflow(k, n, m):
     check_context(k, n)
     if m < 1:
         raise ValueError(f"overflow index must be >= 1, got {m}")
-    out = QuotElem.zero(k, n)
-    for j in range(k):
-        hook = (m,) + (1,) * j
-        sign = -1 if j % 2 else 1
-        out = out + straighten_schur(k, n, hook) * (APoly.gen(k - j) * sign)
-    return out
+    return straighten_combination(k, n, {
+        (m,) + (1,) * j: APoly.gen(k - j) * (-1 if j % 2 else 1)
+        for j in range(k)})
 
 
 # -- specialization ----------------------------------------------------------

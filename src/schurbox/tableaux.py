@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from .apoly import accumulate
 from .partitions import (
-    check_partition, contains, dominates, entrywise_sum,
+    check_partition, compositions, contains, dominates, entrywise_sum,
     horizontal_strip_restrictions, pad, partitions_in_rect, sorted_concat,
     straighten_vector,
 )
@@ -187,18 +187,9 @@ def uncancelled_pieri(alpha, m):
     if m < 0:
         raise ValueError("h index must be nonnegative")
     out = {}
-
-    def rec(i, remaining, vec):
-        if i == k - 1:
-            res = straighten_vector(tuple(vec) + (alpha[i] + remaining,))
-            if res is not None:
-                sign, lam = res
-                accumulate(out, lam, sign)
-            return
-        for add in range(remaining + 1):
-            rec(i + 1, remaining - add, vec + [alpha[i] + add])
-
-    if k == 0:
-        return {(): 1} if m == 0 else {}
-    rec(0, m, [])
+    for beta in compositions(m, k):
+        res = straighten_vector(tuple(a + b for a, b in zip(alpha, beta)))
+        if res is not None:
+            sign, lam = res
+            accumulate(out, lam, sign)
     return out

@@ -8,11 +8,12 @@ from hypothesis import given, strategies as st
 
 from schurbox.partitions import (
     EQUAL, GREATER, INCOMPARABLE, LESS,
-    check_partition, cmp_graded_dominance, cmp_size_antidominance, complement,
-    conjugate, contains, dominates, entrywise_sum, enumerate_pkn,
-    enumerate_v_set, horizontal_strip_extensions, horizontal_strip_restrictions,
-    in_box, is_horizontal_strip, is_vertical_strip, pad, partitions_in_rect,
-    size, sorted_concat, straighten_vector, subpartitions_of_size,
+    bounded_partitions, check_in_box, check_partition, cmp_graded_dominance,
+    cmp_size_antidominance, complement, compositions, conjugate, contains,
+    dominates, entrywise_sum, enumerate_pkn, enumerate_v_set,
+    horizontal_strip_extensions, horizontal_strip_restrictions, in_box,
+    is_horizontal_strip, is_vertical_strip, pad, partitions_in_rect, size,
+    sorted_concat, straighten_vector, subpartitions_of_size,
 )
 
 
@@ -88,6 +89,45 @@ def test_partitions_in_rect():
     assert list(partitions_in_rect(0, 3, 3)) == [()]
     assert list(partitions_in_rect(4, 2, 2)) == [(2, 2)]
     assert list(partitions_in_rect(3, 3, 3)) == [(3,), (2, 1), (1, 1, 1)]
+
+
+small_bounds = st.lists(st.integers(min_value=0, max_value=4), max_size=4)
+
+
+@given(st.integers(min_value=-1, max_value=12), small_bounds, small_bounds)
+def test_bounded_partitions_match_brute_force(d, hi, lo):
+    rows = max(len(hi), len(lo))
+    hi_p, lo_p = pad(hi, rows), pad(lo, rows)
+    want = [check_partition(mu)
+            for mu in product(*(range(l, h + 1) for l, h in zip(lo_p, hi_p)))
+            if sum(mu) == d and list(mu) == sorted(mu, reverse=True)]
+    assert list(bounded_partitions(d, hi, lo)) == sorted(want, reverse=True)
+
+
+@given(st.integers(min_value=-1, max_value=6),
+       st.integers(min_value=0, max_value=4))
+def test_compositions_match_brute_force(m, slots):
+    want = [c for c in product(range(max(m, 0) + 1), repeat=slots)
+            if sum(c) == m]
+    assert list(compositions(m, slots)) == want
+
+
+def test_bounded_partition_regressions():
+    # the lower bound lam[1:] leaves no room for an empty strip remainder
+    assert horizontal_strip_restrictions((1, 1), 2) == []
+    # strips larger than the shape
+    assert horizontal_strip_restrictions((2, 1), 4) == []
+    assert subpartitions_of_size((2, 1), 4) == []
+    assert horizontal_strip_extensions((), 1, 0, 3) == []
+    assert horizontal_strip_extensions((2, 1), 2, 2, 3) == [(3, 2)]
+    assert list(compositions(0, 0)) == [()]
+    assert list(compositions(2, 0)) == []
+
+
+def test_check_in_box_message():
+    assert check_in_box((3, 1), 2, 5) == (3, 1)
+    with pytest.raises(ValueError, match=r"^\(4,\) does not fit in the 2 x 3 box$"):
+        check_in_box((4,), 2, 5)
 
 
 # -- complement and conjugate ------------------------------------------------
