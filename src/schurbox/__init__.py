@@ -7,6 +7,7 @@ the Grassmannian Gr(k, n), and a_k = -(-1)^k q (others 0) its quantum
 cohomology.
 """
 
+from . import apoly, bases, grobner, partitions, quotient, tableaux
 from .apoly import (
     APoly, classical_specialization, parse_apoly, parse_specialization,
     quantum_specialization,
@@ -35,11 +36,23 @@ from .bases import (
 
 __version__ = "0.1.0"
 
+
+def clear_caches():
+    """Empty every lru_cache in the package (the product table, straightening,
+    LR and Kostka numbers, box enumerations, complements, Groebner data and
+    Kostka inverses).  Every cache is unbounded, so a long-lived caller that
+    moves on from a context can call this to free its memory."""
+    for module in (apoly, bases, grobner, partitions, quotient, tableaux):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
 __all__ = [
     "APoly", "QuotElem", "XPoly",
     "basis_table", "change_of_basis_matrix", "check_partition",
-    "classical_specialization", "classify_family", "cmp_graded_dominance",
-    "cmp_size_antidominance", "coeff", "complement", "conjugate", "dominates",
+    "classical_specialization", "classify_family", "clear_caches",
+    "cmp_graded_dominance", "cmp_size_antidominance", "coeff", "complement",
+    "conjugate", "dominates",
     "enumerate_pkn", "expand_e_conj", "expand_h", "expand_h_conj", "expand_m",
     "expand_p", "groebner_generators", "in_box", "kostka", "lr_coefficient",
     "monomial_basis", "multiply", "normal_form", "parse_apoly",

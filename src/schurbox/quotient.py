@@ -200,10 +200,12 @@ def straighten_combination(k, n, combination):
 
 @lru_cache(maxsize=None)
 def _basis_product(k, n, lam, mu):
-    """Frozen item tuple of s[lam] * s[mu] for box partitions lam, mu.  The
-    cache key is the ordered pair, so commutativity is computed, not assumed."""
+    """The product table: s[lam] * s[mu] for box partitions lam, mu, as a
+    dict {nu: APoly} in sorted nu order.  Every caller reads the same cached
+    dict in place and must not modify it.  The cache key is the ordered
+    pair, so commutativity is computed, not assumed."""
     product = straighten_combination(k, n, schur_product_expand(lam, mu, k))
-    return tuple(sorted(product.terms.items()))
+    return dict(sorted(product.terms.items()))
 
 
 def multiply(f, g):
@@ -214,7 +216,7 @@ def multiply(f, g):
     for lam, cf in f.terms.items():
         for mu, cg in g.terms.items():
             c = cf * cg
-            for nu, ap in _basis_product(k, n, lam, mu):
+            for nu, ap in _basis_product(k, n, lam, mu).items():
                 accumulate(out, nu, c * ap)
     return f._new(out)
 
@@ -231,8 +233,8 @@ def structure_constant(k, n, alpha, beta, gamma):
     alpha, beta, gamma = (check_partition(p) for p in (alpha, beta, gamma))
     for p in (alpha, beta, gamma):
         check_in_box(p, k, n)
-    prod = dict(_basis_product(k, n, alpha, beta))
-    return prod.get(complement(gamma, k, n), ZERO)
+    return _basis_product(k, n, alpha, beta).get(complement(gamma, k, n),
+                                                  ZERO)
 
 
 # -- Pieri rule --------------------------------------------------------------
@@ -312,21 +314,29 @@ def s3_report(k, n, jobs=1):
     }
 
 
+@lru_cache(maxsize=None)
+def _complements(k, n):
+    """{lam: complement(lam)} over the box; built once per context (and per
+    scan worker process)."""
+    return {lam: complement(lam, k, n) for lam in enumerate_pkn(k, n)}
+
+
 def _s3_triple(k, n, triple):
     alpha, beta, gamma = triple
     w = omega(k, n)
-    comp = {p: complement(p, k, n) for p in (alpha, beta, gamma)}
+    comp = _complements(k, n)
+    ab = _basis_product(k, n, alpha, beta)
     values = [
-        dict(_basis_product(k, n, alpha, beta)).get(comp[gamma], ZERO),
-        dict(_basis_product(k, n, alpha, gamma)).get(comp[beta], ZERO),
-        dict(_basis_product(k, n, beta, alpha)).get(comp[gamma], ZERO),
-        dict(_basis_product(k, n, beta, gamma)).get(comp[alpha], ZERO),
-        dict(_basis_product(k, n, gamma, alpha)).get(comp[beta], ZERO),
-        dict(_basis_product(k, n, gamma, beta)).get(comp[alpha], ZERO),
+        ab.get(comp[gamma], ZERO),
+        _basis_product(k, n, alpha, gamma).get(comp[beta], ZERO),
+        _basis_product(k, n, beta, alpha).get(comp[gamma], ZERO),
+        _basis_product(k, n, beta, gamma).get(comp[alpha], ZERO),
+        _basis_product(k, n, gamma, alpha).get(comp[beta], ZERO),
+        _basis_product(k, n, gamma, beta).get(comp[alpha], ZERO),
     ]
     triple = ZERO
-    for lam, c in _basis_product(k, n, alpha, beta):
-        wc = dict(_basis_product(k, n, lam, gamma)).get(w, ZERO)
+    for lam, c in ab.items():
+        wc = _basis_product(k, n, lam, gamma).get(w, ZERO)
         if wc:
             triple = triple + c * wc
     if all(v == values[0] for v in values[1:]) and triple == values[0]:
@@ -360,7 +370,7 @@ def _positivity_pair(k, n, pair):
     lam, mu = pair
     flip = (n - k - 1) % 2 == 1
     bad = []
-    for nu, g in _basis_product(k, n, lam, mu):
+    for nu, g in _basis_product(k, n, lam, mu).items():
         poly = g * (-1 if (size(lam) + size(mu) - size(nu)) % 2 else 1)
         if flip:
             poly = poly.flip_by_degree_parity()
@@ -372,10 +382,15 @@ def _positivity_pair(k, n, pair):
 
 def worker_count(jobs, n_items):
     """Worker processes to use for n_items when jobs are requested: at least
-    one, and never more than one per CPU or per item."""
+    one, and never more than one per item or per CPU this process may run
+    on (its affinity mask, where the platform has one)."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    return max(1, min(jobs, os.cpu_count() or 1, n_items))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(jobs, cpus, n_items))
 
 
 def _parallel_map(fn, items, jobs):

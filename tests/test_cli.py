@@ -203,7 +203,8 @@ def test_jobs_below_one_is_usage_error(capsys, argv, jobs):
 
 
 def test_worker_count_is_capped():
-    cpus = os.cpu_count() or 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
     assert worker_count(1, 100) == 1
     assert worker_count(2, 100) == min(2, cpus)
     assert worker_count(10**6, 3) == min(3, cpus)
@@ -212,6 +213,17 @@ def test_worker_count_is_capped():
     for jobs in (0, -3):
         with pytest.raises(ValueError):
             worker_count(jobs, 10)
+
+
+def test_worker_count_follows_cpu_affinity(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 5},
+                        raising=False)
+    assert worker_count(4, 100) == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert worker_count(4, 100) == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count(4, 100) == 1
 
 
 # -- basis-table --------------------------------------------------------------------

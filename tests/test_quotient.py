@@ -4,16 +4,22 @@ the closed Pieri rule, duality with respect to the box-filling class, and the
 symmetry/positivity scans.  Cross-checked against the x-variable reduction
 system wherever both routes exist."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schurbox import (
+    bases, clear_caches, grobner, partitions, quotient, tableaux,
+)
 from schurbox.apoly import (
     APoly, classical_specialization, quantum_specialization,
 )
+from schurbox.cli import main
 from schurbox.grobner import h_on_vars, normal_form, schur_xpoly
 from schurbox.partitions import complement, enumerate_pkn, size
 from schurbox.quotient import (
-    QuotElem, check_context, coeff, multiply, omega, pieri_h,
+    QuotElem, _basis_product, check_context, coeff, multiply, omega, pieri_h,
     positivity_scan, reduce_h_overflow, s3_report, specialize_elem,
     straighten_schur, structure_constant,
 )
@@ -310,6 +316,136 @@ def test_scan_counts():
     # 6 basis classes in P_{2,4}: C(7,3) = 56 triples, C(7,2) = 21 pairs
     assert s3_report(2, 4)["triples"] == 56
     assert positivity_scan(2, 4)["pairs"] == 21
+
+
+@pytest.mark.parametrize("k, n", [(2, 5), (3, 6)])
+def test_parallel_scans_equal_serial(k, n):
+    assert s3_report(k, n, jobs=2) == s3_report(k, n)
+    assert positivity_scan(k, n, jobs=2) == positivity_scan(k, n)
+
+
+def _corrupt_product(monkeypatch, pair, nu, fn):
+    """Make the product table return fn(coefficient) at nu for the ordered
+    pair only; the cached table itself stays intact."""
+    def corrupted(k, n, lam, mu):
+        table = _basis_product(k, n, lam, mu)
+        if (lam, mu) != pair:
+            return table
+        table = dict(table)
+        table[nu] = fn(table.get(nu, APoly.const(0)))
+        return table
+
+    monkeypatch.setattr(quotient, "_basis_product", corrupted)
+
+
+# At (2,4), s[2] s[1] = s[2,1] + a1*s[].  Only s[2] s[1] is corrupted, not
+# s[1] s[2], so commutativity fails.  Its s[2,1] coefficient is g(2, 1, x)
+# for x = complement((2,1)) = (1,), so the one triple that reads it is
+# {1, 1, 2}, in the slots (gamma, alpha) and (gamma, beta).
+S3_PAIR, S3_NU = ((2,), (1,)), (2, 1)
+S3_COUNTEREXAMPLE = {"alpha": (1,), "beta": (1,), "gamma": (2,),
+                     "permuted": ["1", "1", "1", "1", "2", "2"],
+                     "triple_product": "1"}
+
+# At (2,4), s[1] s[2,1] = s[2,2] + a1*s[1] - a2*s[]; with n-k-1 odd its
+# s[1] coefficient reads b1, so negating it is a sign violation.
+POSITIVITY_PAIR, POSITIVITY_NU = ((1,), (2, 1)), (1,)
+POSITIVITY_VIOLATION = {"lam": (1,), "mu": (2, 1), "nu": (1,),
+                        "in_b_variables": "-b1"}
+
+
+def test_s3_scan_reports_a_broken_ordered_pair(monkeypatch):
+    _corrupt_product(monkeypatch, S3_PAIR, S3_NU, lambda c: c + 1)
+    report = s3_report(2, 4)
+    assert not report["ok"] and report["triples"] == 56
+    assert report["counterexamples"] == [S3_COUNTEREXAMPLE]
+
+
+def test_positivity_scan_reports_a_flipped_sign(monkeypatch):
+    _corrupt_product(monkeypatch, POSITIVITY_PAIR, POSITIVITY_NU,
+                     lambda c: -c)
+    report = positivity_scan(2, 4)
+    assert not report["ok"] and report["pairs"] == 21
+    assert report["violations"] == [POSITIVITY_VIOLATION]
+
+
+def _cli(capsys, *argv):
+    rc = main(list(argv))
+    return rc, capsys.readouterr().out
+
+
+def test_cli_s3_exits_1_on_a_counterexample(monkeypatch, capsys):
+    _corrupt_product(monkeypatch, S3_PAIR, S3_NU, lambda c: c + 1)
+    rc, out = _cli(capsys, "s3", "--k", "2", "--n", "4")
+    assert rc == 1
+    assert out == (
+        "k=2 n=4: checked 56 triples, 1 counterexamples\n"
+        "  alpha=[1] beta=[1] gamma=[2]: "
+        "['1', '1', '1', '1', '2', '2'] triple=1\n")
+    rc, out = _cli(capsys, "s3", "--k", "2", "--n", "4", "--format", "json")
+    assert rc == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert payload["counterexamples"] == [
+        {**S3_COUNTEREXAMPLE, "alpha": [1], "beta": [1], "gamma": [2]}]
+
+
+def test_cli_positivity_exits_1_on_a_violation(monkeypatch, capsys):
+    _corrupt_product(monkeypatch, POSITIVITY_PAIR, POSITIVITY_NU,
+                     lambda c: -c)
+    rc, out = _cli(capsys, "positivity", "--k", "2", "--n", "4")
+    assert rc == 1
+    assert out == ("k=2 n=4: checked 21 pairs, 1 violations\n"
+                   "  lam=[1] mu=[2, 1] nu=[1]: -b1\n")
+    rc, out = _cli(capsys, "positivity", "--k", "2", "--n", "4",
+                   "--format", "json")
+    assert rc == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert payload["violations"] == [
+        {**POSITIVITY_VIOLATION, "lam": [1], "mu": [2, 1], "nu": [1]}]
+
+
+# -- caches -------------------------------------------------------------------
+
+def test_results_do_not_alias_the_caches():
+    k, n, lam, mu = 2, 4, (2, 1), (2,)
+    f, g = QuotElem.basis(k, n, lam), QuotElem.basis(k, n, mu)
+    product = dict(multiply(f, g).terms)
+    table = dict(_basis_product(k, n, lam, mu))
+    wide = dict(straighten_schur(k, n, (4, 1)).terms)
+    # s[2,1] s[2] = s[4,1] + s[3,2]: rebuilt from a fresh straighten of
+    # s[4,1], whose result is then mutated, as is the product's
+    clear_caches()
+    straighten_schur(k, n, (4, 1)).terms.clear()
+    first = multiply(f, g)
+    first.terms.clear()
+    first.terms[()] = APoly.const(7)
+    assert multiply(f, g).terms == product
+    for nu, c in product.items():
+        assert structure_constant(k, n, lam, mu, complement(nu, k, n)) == c
+    assert _basis_product(k, n, lam, mu) == table
+    assert straighten_schur(k, n, (4, 1)).terms == wide
+
+
+def test_clear_caches_empties_every_cache():
+    caches = (quotient._basis_product, quotient._straighten,
+              quotient._complements, tableaux.lr_coefficient,
+              tableaux.kostka, partitions.enumerate_pkn,
+              partitions.enumerate_v_set, grobner.groebner_generators,
+              grobner._reduction_tails, grobner.schur_xpoly,
+              bases._kostka_inverse)
+
+    def results():
+        return (s3_report(2, 5), positivity_scan(2, 5),
+                bases.classify_family(2, 5, "m"), pieri_h(2, 5, (2, 1), 2),
+                normal_form(2, 5, schur_xpoly((3, 1), 2)))
+
+    before = results()
+    assert all(fn.cache_info().currsize for fn in caches)
+    clear_caches()
+    assert all(fn.cache_info().currsize == 0 for fn in caches)
+    assert results() == before
 
 
 # -- rendering ----------------------------------------------------------------
