@@ -13,7 +13,7 @@ which is rendered/parsed with var="q".
 """
 
 import re
-from itertools import zip_longest
+from operator import add
 
 
 def _trim(exps):
@@ -127,9 +127,10 @@ class APoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                accumulate(out, _trim(a + b for a, b in
-                                      zip_longest(e1, e2, fillvalue=0)),
-                           c1 * c2)
+                # Exponents are nonnegative, so the sum of two trimmed tuples
+                # is trimmed: the longer one's last entry survives.
+                accumulate(out, tuple(map(add, e1, e2)) + e1[len(e2):]
+                           + e2[len(e1):], c1 * c2)
         p = APoly()
         p.terms = out
         return p
@@ -143,9 +144,6 @@ class APoly:
         for _ in range(m):
             out = out * self
         return out
-
-    def __reduce__(self):
-        return (_rebuild_apoly, (self.terms,))
 
     # -- queries -----------------------------------------------------------
 
@@ -209,12 +207,6 @@ class APoly:
 
     def __repr__(self):
         return self.render()
-
-
-def _rebuild_apoly(terms):
-    p = APoly()
-    p.terms = dict(terms)
-    return p
 
 
 class APolyModule:
@@ -307,96 +299,66 @@ def attach_coefficient(c, factors, var="a"):
 ZERO = APoly()
 ONE = APoly.const(1)
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([+\-*^])|([A-Za-z]+\d*))")
+# A term: signs, then integer or symbol factors joined by '*'; a symbol is
+# letters then digits, with an optional integer power after '^'.
+_FACTOR = r"(?:(\d+)|([A-Za-z]+)(\d*)(?:\s*\^\s*(\d+))?)"
+_TERM = re.compile(
+    r"\s*((?:[+-]\s*)*)({0}(?:\s*\*\s*{0})*)\s*".format(_FACTOR))
+_FACTORS = re.compile(r"\s*\*?\s*" + _FACTOR)
 
 
 def iter_poly_terms(text):
-    """Tokenize polynomial text (terms joined by +/-, atoms joined by *,
-    integer exponents after ^) and yield one (int_coeff, {symbol: power})
-    pair per term.  Shared by the a- and x-polynomial parsers."""
-    tokens = []
+    """Yield one (int_coeff, [(letters, digits, power), ...]) pair per term
+    of polynomial text, a sum of signed terms (every term after the first
+    starts with a sign).  Shared by the a- and x-polynomial parsers."""
     pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ValueError(f"cannot tokenize {text[pos:]!r}")
-            break
+    while pos == 0 or pos < len(text):
+        m = _TERM.match(text, pos)
+        if not m or pos and not m.group(1):
+            raise ValueError(f"cannot parse {text[pos:]!r}")
         pos = m.end()
-        if m.group(1):
-            tokens.append(("int", int(m.group(1))))
-        elif m.group(2):
-            tokens.append(("op", m.group(2)))
-        else:
-            tokens.append(("sym", m.group(3)))
-    if not tokens:
-        raise ValueError("empty polynomial text")
-
-    i = 0
-    while i < len(tokens):
-        sign = 1
-        while i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] in "+-":
-            if tokens[i][1] == "-":
-                sign = -sign
-            i += 1
-        if i >= len(tokens):
-            raise ValueError("dangling sign")
-        coeff = 1
-        powers = {}
-        expecting_atom = True
-        while i < len(tokens):
-            kind, val = tokens[i]
-            if kind == "op" and val in "+-" and not expecting_atom:
-                break
-            if kind == "op" and val == "*":
-                if expecting_atom:
-                    raise ValueError("misplaced '*'")
-                expecting_atom = True
-                i += 1
-                continue
-            if not expecting_atom:
-                raise ValueError(f"missing operator before {val!r}")
-            if kind == "int":
-                coeff *= val
-                i += 1
-            elif kind == "sym":
-                power = 1
-                i += 1
-                if i + 1 < len(tokens) and tokens[i] == ("op", "^"):
-                    if tokens[i + 1][0] != "int":
-                        raise ValueError("exponent must be an integer")
-                    power = tokens[i + 1][1]
-                    i += 2
-                powers[val] = powers.get(val, 0) + power
+        coeff, symbols = (-1) ** m.group(1).count("-"), []
+        for num, letters, digits, power in _FACTORS.findall(m.group(2)):
+            if num:
+                coeff *= int(num)
             else:
-                raise ValueError(f"unexpected token {val!r}")
-            expecting_atom = False
-        if expecting_atom:
-            raise ValueError("term ended after '*'")
-        yield sign * coeff, powers
+                symbols.append((letters, digits, int(power or 1)))
+        yield coeff, symbols
+
+
+def term_exponents(symbols, letters, limit=None):
+    """One trimmed exponent tuple per letter in letters: the powers of the
+    symbols letter1, letter2, ... among a term's (letters, digits, power)
+    triples, indices from 1 up to limit (unbounded when None).  Any other
+    symbol is a ValueError that names it."""
+    exps = {letter: [] for letter in letters}
+    for name, digits, power in symbols:
+        i = int(digits or 0)
+        if name not in exps or i < 1:
+            raise ValueError(f"unknown symbol {name + digits!r}")
+        if limit is not None and i > limit:
+            raise ValueError(
+                f"symbol {name + digits!r} out of range for k={limit}")
+        row = exps[name]
+        row += [0] * (i - len(row))
+        row[i - 1] += power
+    return [_trim(exps[letter]) for letter in letters]
 
 
 def parse_apoly(text, var="a"):
     """Parse the canonical polynomial text form (and harmless variants with
     different spacing or explicit 1 coefficients).  Inverse of render()."""
-    result = ZERO
-    for coeff, powers in iter_poly_terms(text):
-        exps = {}
-        for name, power in powers.items():
-            if var == "a":
-                m = re.fullmatch(r"a(\d+)", name)
-                if not m or int(m.group(1)) < 1:
-                    raise ValueError(f"unknown symbol {name!r}")
-                idx = int(m.group(1))
-            else:
-                if name != var:
-                    raise ValueError(f"unknown symbol {name!r}")
-                idx = 1
-            exps[idx - 1] = exps.get(idx - 1, 0) + power
-        width = max(exps) + 1 if exps else 0
-        e = tuple(exps.get(j, 0) for j in range(width))
-        result = result + APoly.monomial(e, coeff)
-    return result
+    terms = {}
+    for coeff, symbols in iter_poly_terms(text):
+        if var == "a":
+            exps, = term_exponents(symbols, "a")
+        else:
+            for name, digits, _ in symbols:
+                if name + digits != var:
+                    raise ValueError(f"unknown symbol {name + digits!r}")
+            exps = _trim([sum(power for *_, power in symbols)])
+        accumulate(terms, exps, coeff)
+    return APoly(terms)
 
 
 # -- named specializations -------------------------------------------------

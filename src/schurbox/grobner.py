@@ -17,10 +17,9 @@ from itertools import combinations
 
 from .apoly import (
     APoly, APolyModule, accumulate, attach_coefficient, iter_poly_terms,
-    join_signed, monomial_factors,
+    join_signed, monomial_factors, term_exponents,
 )
 from .partitions import compositions
-import re
 
 
 def deglex_key(mono):
@@ -109,25 +108,11 @@ class XPoly(APolyModule):
 
 def parse_xpoly(text, k):
     """Parse polynomial text in x_1..x_k with a_1..a_k coefficients."""
-    result = XPoly(k)
-    for coeff, powers in iter_poly_terms(text):
-        xexp = [0] * k
-        aexp = {}
-        for name, power in powers.items():
-            m = re.fullmatch(r"([ax])(\d+)", name)
-            if not m:
-                raise ValueError(f"unknown symbol {name!r}")
-            idx = int(m.group(2))
-            if not 1 <= idx <= k:
-                raise ValueError(f"symbol {name!r} out of range for k={k}")
-            if m.group(1) == "x":
-                xexp[idx - 1] += power
-            else:
-                aexp[idx - 1] = aexp.get(idx - 1, 0) + power
-        width = max(aexp) + 1 if aexp else 0
-        c = APoly.monomial(tuple(aexp.get(j, 0) for j in range(width)), coeff)
-        result = result + XPoly.monomial(k, tuple(xexp), c)
-    return result
+    terms = {}
+    for coeff, symbols in iter_poly_terms(text):
+        a, x = term_exponents(symbols, "ax", k)
+        accumulate(terms, x + (0,) * (k - len(x)), APoly.monomial(a, coeff))
+    return XPoly(k, terms)
 
 
 # -- symmetric polynomial generators ----------------------------------------

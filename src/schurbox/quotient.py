@@ -64,7 +64,7 @@ class QuotElem(APolyModule):
 
     @classmethod
     def basis(cls, k, n, lam):
-        return cls(k, n, {check_partition(lam): ONE})
+        return cls(k, n, {check_partition(lam): 1})
 
     @classmethod
     def zero(cls, k, n):
@@ -72,7 +72,7 @@ class QuotElem(APolyModule):
 
     @classmethod
     def one(cls, k, n):
-        return cls(k, n, {(): ONE})
+        return cls(k, n, {(): 1})
 
     def _new(self, terms):
         p = QuotElem(self.k, self.n)
@@ -98,12 +98,10 @@ class QuotElem(APolyModule):
     __rmul__ = __mul__
 
     def coeff(self, mu):
-        """The coefficient of s[mu] (mu must fit in the box)."""
+        """The coefficient of s[mu] (mu must fit in the box), as a new APoly
+        that the caller owns."""
         mu = check_in_box(check_partition(mu), self.k, self.n)
-        return self.terms.get(mu, ZERO)
-
-    def support(self):
-        return set(self.terms)
+        return APoly(self.terms.get(mu, ZERO).terms)
 
     def map_coeffs(self, fn):
         p = QuotElem(self.k, self.n)
@@ -177,15 +175,14 @@ def straighten_schur(k, n, mu):
     mu = check_partition(mu)
     if len(mu) > k:
         return QuotElem.zero(k, n)
-    p = QuotElem(k, n)
-    p.terms = dict(_straighten(k, n, mu))
-    return p
+    return straighten_combination(k, n, {mu: 1})
 
 
 def straighten_combination(k, n, combination):
     """The class of sum_mu c_mu s_mu for a dict {mu: c_mu} of int or APoly
     coefficients on partitions mu with at most k parts; a zero coefficient
-    is skipped without straightening its partition."""
+    is skipped without straightening its partition.  Every coefficient of
+    the result is a new APoly, never one held by the cache."""
     out = {}
     for mu, c in combination.items():
         if c:
@@ -228,13 +225,14 @@ def coeff(f, mu):
 
 def structure_constant(k, n, alpha, beta, gamma):
     """g(alpha, beta, gamma) = coeff of s[complement(gamma)] in
-    s[alpha] * s[beta]; symmetric in all three arguments."""
+    s[alpha] * s[beta]; symmetric in all three arguments.  Returns a new
+    APoly, not the one in the product table."""
     check_context(k, n)
     alpha, beta, gamma = (check_partition(p) for p in (alpha, beta, gamma))
     for p in (alpha, beta, gamma):
         check_in_box(p, k, n)
-    return _basis_product(k, n, alpha, beta).get(complement(gamma, k, n),
-                                                  ZERO)
+    return APoly(_basis_product(k, n, alpha, beta).get(
+        complement(gamma, k, n), ZERO).terms)
 
 
 # -- Pieri rule --------------------------------------------------------------
@@ -254,7 +252,7 @@ def pieri_h(k, n, lam, j):
         raise ValueError(f"need 0 <= j <= n-k = {n - k}, got j={j}")
     out = {}
     for mu in horizontal_strip_extensions(lam, j, k, n - k):
-        accumulate(out, mu, ONE)
+        accumulate(out, mu, APoly.const(1))
     for i in range(1, k + 1):
         hook = (n - k - j + 1,) + (1,) * (i - 1)
         d = size(lam) - (n - k - j + i)

@@ -1,5 +1,7 @@
 """The coefficient ring Z[a_1, ..., a_k] and its canonical text form."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +9,8 @@ from schurbox.apoly import (
     APoly, ONE, ZERO, classical_specialization, parse_apoly,
     parse_specialization, quantum_specialization,
 )
+from schurbox.grobner import XPoly, parse_xpoly
+from schurbox.quotient import straighten_schur
 
 
 @st.composite
@@ -89,6 +93,59 @@ def test_parse_examples():
         parse_apoly("2 ** a1")
 
 
+# The accepted language of the polynomial reader: signs in runs, '*' between
+# factors, '^' after a symbol, leading zeros, any whitespace between tokens.
+ACCEPTED = [
+    ("--a1", a1),
+    ("+ - a2", -a2),
+    ("a1 ^ 2", a1 * a1),
+    ("2 * a1*a1", 2 * a1 * a1),
+    ("a01", a1),
+    ("a1^0 - 3*2", APoly.const(-5)),
+    ("\ta1 *\n a2\t-\n3 ", a1 * a2 - 3),
+    ("a2 - - a2 + 0*a3", 2 * a2),
+]
+
+
+@pytest.mark.parametrize("text, value", ACCEPTED)
+def test_parse_accepted_variants(text, value):
+    assert parse_apoly(text) == value
+
+
+def test_parse_xpoly_accepted_variants():
+    assert parse_xpoly("007*x1", 2) == XPoly.monomial(2, (1, 0), 7)
+    assert parse_xpoly(" x2 ^\t3 *a2\n+ x02", 2) == XPoly(
+        2, {(0, 3): a2, (0, 1): 1})
+    assert parse_apoly("- q ^ 2 + 2", var="q").render("q") == "-q^2 + 2"
+
+
+# One input per way the reader rejects text; each is rejected by both
+# parsers and every variable set.
+REJECTED = ["", "  ", "x1 +", "2 ** a1", "a1^", "x1^x2", "2*", "x1 2",
+            "a1 @ 2", "^2", "2^3", "a0", "a", "q1", "x3", "y1"]
+
+
+@pytest.mark.parametrize("text", REJECTED)
+def test_parse_rejects(text):
+    with pytest.raises(ValueError):
+        parse_apoly(text)
+    with pytest.raises(ValueError):
+        parse_apoly(text, var="q")
+    with pytest.raises(ValueError):
+        parse_xpoly(text, 2)
+
+
+def test_parse_errors_name_the_symbol():
+    with pytest.raises(ValueError, match="unknown symbol 'y1'"):
+        parse_xpoly("x1 + y1", 2)
+    with pytest.raises(ValueError, match="symbol 'x3' out of range for k=2"):
+        parse_xpoly("x3", 2)
+    with pytest.raises(ValueError, match="unknown symbol 'q1'"):
+        parse_apoly("q1", var="q")
+    with pytest.raises(ValueError, match=r"cannot parse '\*\* a1'"):
+        parse_apoly("2 ** a1")
+
+
 @given(apolys())
 def test_render_parse_round_trip(p):
     assert parse_apoly(p.render()) == p
@@ -164,3 +221,9 @@ def test_flip_by_degree_parity():
 def test_flip_matches_negated_substitution(p):
     neg = p.specialize([APoly.gen(i) * -1 for i in range(1, 4)])
     assert p.flip_by_degree_parity() == neg
+
+
+def test_pickle_round_trip():
+    for x in (a1 * a1 - 3 * a2, straighten_schur(3, 6, (5, 4, 1)),
+              parse_xpoly("x1^2*a2 - x2 + 7", 2)):
+        assert pickle.loads(pickle.dumps(x)) == x

@@ -160,6 +160,22 @@ def test_nf_bad_variable_is_usage_error(capsys):
     assert rc == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("route", ["nf", "spec"])
+@pytest.mark.parametrize("text", [
+    "", "  ", "x1 +", "2 ** a1", "a1^", "x1^x2", "2*", "x1 2", "a1 @ 2",
+    "^2", "2^3", "a0", "a", "q1", "x3", "y1"])
+def test_bad_polynomial_text_is_one_line_usage_error(capsys, route, text):
+    if route == "nf":
+        argv = ("nf", "--k", "2", "--n", "4", f"--poly={text}")
+    else:
+        argv = ("multiply", "--k", "2", "--n", "4", "--lambda", "[1]",
+                "--mu", "[1]", "--spec", f"a1={text}")
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert err.endswith("\n")
+
+
 # -- scans -------------------------------------------------------------------------
 
 def test_s3_scan(capsys):

@@ -50,14 +50,19 @@ def xpoly_det(grid):
 
 
 @st.composite
-def xpolys(draw, k=2, max_deg=3):
+def xpolys(draw, k=2, max_deg=3, a_coeffs=False):
     n_terms = draw(st.integers(min_value=0, max_value=4))
     terms = {}
     for _ in range(n_terms):
         mono = tuple(draw(st.integers(min_value=0, max_value=max_deg))
                      for _ in range(k))
         c = draw(st.integers(min_value=-4, max_value=4))
-        terms[mono] = terms.get(mono, 0) + c
+        if a_coeffs:
+            # one a-monomial per x-monomial, which render() writes inline
+            aexps = draw(st.tuples(*[st.integers(0, 2)] * k))
+            terms[mono] = APoly.monomial(aexps, c)
+        else:
+            terms[mono] = terms.get(mono, 0) + c
     return XPoly(k, terms)
 
 
@@ -110,6 +115,11 @@ def test_xpoly_render_and_parse():
 @given(xpolys())
 def test_xpoly_render_round_trip(p):
     assert parse_xpoly(p.render(), 2) == p
+
+
+@given(xpolys(k=3, a_coeffs=True))
+def test_xpoly_render_round_trip_three_variables(p):
+    assert parse_xpoly(p.render(), 3) == p
 
 
 def test_parse_xpoly_rejects_out_of_range_vars():

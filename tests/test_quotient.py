@@ -428,6 +428,32 @@ def test_results_do_not_alias_the_caches():
     assert straighten_schur(k, n, (4, 1)).terms == wide
 
 
+def test_straighten_coefficients_are_not_the_cached_ones():
+    straighten_schur(2, 4, (3,)).terms[()].terms[(9,)] = 1
+    assert straighten_schur(2, 4, (3,)).render() == "a1*s[]"
+
+
+def test_structure_constant_is_not_the_table_entry():
+    f, g = QuotElem.basis(2, 4, (2,)), QuotElem.basis(2, 4, (1,))
+    before = multiply(f, g).render()
+    structure_constant(2, 4, (2,), (1,), (1,)).terms[(5,)] = 1
+    assert multiply(f, g).render() == before
+
+
+def test_missing_coeff_is_not_the_shared_zero():
+    QuotElem.basis(2, 4, (1,)).coeff((2,)).terms[(1,)] = 1
+    assert structure_constant(2, 4, (1,), (1,), (1,)).render() == "0"
+
+
+def test_unit_coefficients_are_not_shared():
+    QuotElem.basis(2, 4, (1,)).terms[(1,)].terms[(3,)] = 1
+    QuotElem.one(2, 4).terms[()].terms[(4,)] = 1
+    pieri_h(2, 4, (1,), 1).terms[(2,)].terms[(7,)] = 1
+    assert QuotElem.one(2, 4).render() == "s[]"
+    assert straighten_schur(2, 4, (1,)).render() == "s[1]"
+    assert pieri_h(2, 4, (1,), 1).render() == "s[1,1] + s[2]"
+
+
 def test_clear_caches_empties_every_cache():
     caches = (quotient._basis_product, quotient._straighten,
               quotient._complements, tableaux.lr_coefficient,
