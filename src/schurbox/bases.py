@@ -18,7 +18,7 @@ cross-checked rather than expanded symbolically.
 
 from functools import lru_cache
 
-from .apoly import ZERO, ONE
+from .apoly import APoly, ONE
 from .partitions import (
     check_in_box, check_partition, cmp_graded_dominance,
     cmp_size_antidominance, conjugate, enumerate_pkn, partitions_in_rect,
@@ -146,16 +146,20 @@ def family_element(k, n, lam, family):
     return _expander(family)(k, n, lam)
 
 
-def change_of_basis_matrix(k, n, family):
-    """Rows: expansions of the family members in the Schur basis, rows and
-    columns both in canonical enumeration order.  Entries are APoly."""
+def _family_terms(k, n, family):
+    """(basis, rows): the box partitions in canonical enumeration order, and
+    the Schur-basis terms {mu: APoly} of the family member of each."""
     check_context(k, n)
     basis = enumerate_pkn(k, n)
-    rows = []
-    for lam in basis:
-        elem = family_element(k, n, lam, family)
-        rows.append([elem.terms.get(mu, ZERO) for mu in basis])
-    return rows
+    return basis, [family_element(k, n, lam, family).terms for lam in basis]
+
+
+def change_of_basis_matrix(k, n, family):
+    """Rows: expansions of the family members in the Schur basis, rows and
+    columns both in canonical enumeration order.  Entries are APoly, each a
+    separate object (a zero cell included) that the caller owns."""
+    basis, rows = _family_terms(k, n, family)
+    return [[row.get(mu) or APoly() for mu in basis] for row in rows]
 
 
 def unitriangularity_check(k, n, family):
@@ -244,10 +248,12 @@ def classify_family(k, n, family):
     specializations, all a_i = 0 and a_i = i-th prime, which must agree."""
     check_context(k, n)
     _expander(family)
-    rows = change_of_basis_matrix(k, n, family)
-    at_zero = [[c.terms.get((), 0) for c in row] for row in rows]
+    basis, rows = _family_terms(k, n, family)
+    at_zero = [[c.terms.get((), 0) if c else 0 for c in map(row.get, basis)]
+               for row in rows]
     primes = _PRIMES[:k]
-    at_primes = [[c.evaluate(primes) for c in row] for row in rows]
+    at_primes = [[c.evaluate(primes) if c else 0 for c in map(row.get, basis)]
+                 for row in rows]
     d0 = _bareiss_det(at_zero)
     d1 = _bareiss_det(at_primes)
     if d0 != d1:

@@ -236,17 +236,24 @@ def monomial_basis(k, n):
     return sorted(monos, key=deglex_key)
 
 
-@lru_cache(maxsize=None)
 def schur_xpoly(lam, k):
     """The Schur polynomial s_lam(x_1, ..., x_k), computed by enumerating
     semistandard tableaux of shape lam with entries at most k.  Zero when
-    lam has more than k rows."""
+    lam has more than k rows.  A new XPoly that the caller owns."""
     from .partitions import check_partition
-    lam = check_partition(lam)
+    p = XPoly(k)
+    p.terms = {m: APoly.const(c)
+               for m, c in _schur_monomials(check_partition(lam), k)}
+    return p
+
+
+@lru_cache(maxsize=None)
+def _schur_monomials(lam, k):
+    """The (exponent tuple, tableau count) items of s_lam(x_1, ..., x_k)."""
     if len(lam) > k:
-        return XPoly(k)
+        return ()
     if not lam:
-        return XPoly.const(k, 1)
+        return (((0,) * k, 1),)
     out = {}
 
     def fill_row(r, prev_row, content):
@@ -271,6 +278,4 @@ def schur_xpoly(lam, k):
         fill_cell(0, 1, content)
 
     fill_row(0, None, [0] * k)
-    p = XPoly(k)
-    p.terms = {m: APoly.const(c) for m, c in out.items()}
-    return p
+    return tuple(out.items())

@@ -183,26 +183,41 @@ def straighten_combination(k, n, combination):
     coefficients on partitions mu with at most k parts; a zero coefficient
     is skipped without straightening its partition.  Every coefficient of
     the result is a new APoly, never one held by the cache."""
-    out = {}
+    sums = {}
     for mu, c in combination.items():
-        if c:
-            for nu, ap in _straighten(k, n, mu):
-                accumulate(out, nu, ap * c)
+        if not c:
+            continue
+        entries, scale = _straighten(k, n, mu), c
+        if isinstance(c, APoly):
+            # multiplied out per entry; an int scales each term in place
+            entries, scale = [(nu, ap * c) for nu, ap in entries], 1
+        for nu, ap in entries:
+            exps = sums.setdefault(nu, {})
+            for e, v in ap.terms.items():
+                exps[e] = exps.get(e, 0) + scale * v
     p = QuotElem(k, n)
-    p.terms = out
+    for nu, exps in sums.items():
+        poly = APoly()
+        poly.terms = {e: v for e, v in exps.items() if v}
+        if poly:
+            p.terms[nu] = poly
     return p
 
 
 # -- multiplication ----------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _basis_product(k, n, lam, mu):
-    """The product table: s[lam] * s[mu] for box partitions lam, mu, as a
-    dict {nu: APoly} in sorted nu order.  Every caller reads the same cached
-    dict in place and must not modify it.  The cache key is the ordered
-    pair, so commutativity is computed, not assumed."""
+def _build_product(k, n, lam, mu):
+    """s[lam] * s[mu] for box partitions lam, mu, as a new dict
+    {nu: APoly} in sorted nu order."""
     product = straighten_combination(k, n, schur_product_expand(lam, mu, k))
     return dict(sorted(product.terms.items()))
+
+
+# The product table, cached on the ordered pair, so commutativity is
+# computed, not assumed.  Every caller reads the same cached dict in place
+# and must not modify it.  A scan that reads each product once calls
+# _build_product instead.
+_basis_product = lru_cache(maxsize=None)(_build_product)
 
 
 def multiply(f, g):
@@ -365,14 +380,21 @@ def positivity_scan(k, n, jobs=1):
 
 
 def _positivity_pair(k, n, pair):
+    """The sign violations in s[lam] * s[mu], built uncached because the
+    scan reads each product once.  In the b-variables, the monomial c*a^e
+    of the s[nu] coefficient has the sign of c, negated when |lam| + |mu| -
+    |nu| is odd, and negated again when flip and |e| is odd."""
     lam, mu = pair
     flip = (n - k - 1) % 2 == 1
+    base = size(lam) + size(mu)
     bad = []
-    for nu, g in _basis_product(k, n, lam, mu).items():
-        poly = g * (-1 if (size(lam) + size(mu) - size(nu)) % 2 else 1)
-        if flip:
-            poly = poly.flip_by_degree_parity()
-        if any(c < 0 for c in poly.terms.values()):
+    for nu, g in _build_product(k, n, lam, mu).items():
+        odd = (base - size(nu)) % 2 == 1
+        if any((c < 0) != (odd ^ (flip and sum(e) % 2 == 1))
+               for e, c in g.terms.items()):
+            poly = -g if odd else g
+            if flip:
+                poly = poly.flip_by_degree_parity()
             bad.append({"lam": lam, "mu": mu, "nu": nu,
                         "in_b_variables": poly.render().replace("a", "b")})
     return bad

@@ -2,10 +2,11 @@
 
 Two deliberately different algorithms coexist here.  ``lr_coefficient``
 counts lattice skew semistandard tableaux cell by cell, straight from the
-definition.  ``schur_product_expand`` enumerates chains of horizontal strips
-with ballot-sequence bookkeeping, producing a whole product expansion
-s_mu * s_nu = sum_lam c_{mu,nu}^lam s_lam in one pass.  The tests check the
-routes against each other and against exact polynomial multiplication.
+definition.  ``schur_product_expand`` counts chains of horizontal strips
+with ballot-sequence bookkeeping, one strip at a time, producing a whole
+product expansion s_mu * s_nu = sum_lam c_{mu,nu}^lam s_lam in one pass.
+The tests check the routes against each other and against exact
+polynomial multiplication.
 """
 
 from functools import lru_cache
@@ -96,54 +97,69 @@ def lr_coefficient(lam, mu, nu):
     return rec(0)
 
 
-def _chain_products(mu, nu, max_len):
-    """Expand s_mu * s_nu as a multiset of partitions lam (with at most
-    max_len parts) by growing mu with horizontal strips of sizes nu_1, nu_2,
-    ... subject to the ballot condition: after placing value t, the number of
-    t's in rows 1..i never exceeds the number of (t-1)'s in rows 1..i-1."""
-    results = {}
-    nrows = max_len
+def _strips(shape, bounds, boxes, cap):
+    """The horizontal strips of the given number of boxes on shape (a
+    padded partition) with at most bounds[r] boxes in rows 0..r, as states
+    new shape + next bounds.  The next strip, of cap boxes, may put in rows
+    0..r at most as many boxes as this one put in rows 0..r-1 (the ballot
+    condition); its bounds are capped at cap, and a strip after which it
+    cannot fit is dropped."""
+    last = len(shape) - 1
+    out = []
+    new, placed_to = list(shape), [0] * len(shape)
 
-    def place_strip(t, shape, strip_rows):
-        """Advance to value t placed as given per-row counts; recurse."""
-        if t == len(nu):
-            lam = check_partition(shape)
-            results[lam] = results.get(lam, 0) + 1
+    def rec(row, placed):
+        remaining = boxes - placed
+        if not remaining:
+            placed_to[row:] = [placed] * (last + 1 - row)
+            # the next strip has no box in row 0, so rows 1.. must hold it
+            if cap <= (placed_to[last - 1] if last else 0) and \
+                    cap <= new[0] - new[last]:
+                out.append(tuple(new + [0] + [b if b < cap else cap
+                                              for b in placed_to[:-1]]))
             return
-        target = nu[t]
-        prev_rows = strip_rows
-        new_shape = list(shape)
+        # A row takes at most the old length of the row above it, so the
+        # rows below this one hold at most shape[row] - shape[-1] boxes.
+        hi = bounds[row] - placed
+        if row and shape[row - 1] - shape[row] < hi:
+            hi = shape[row - 1] - shape[row]
+        if remaining < hi:
+            hi = remaining
+        lo = remaining - shape[row] + shape[last]
+        for add in range(hi, (lo if lo > 0 else 0) - 1, -1):
+            new[row] = shape[row] + add
+            placed_to[row] = placed + add
+            rec(row + 1, placed + add)
+        new[row] = shape[row]
 
-        def rec(row, remaining, placed, new_rows):
-            if remaining == 0:
-                place_strip(t + 1, tuple(new_shape), new_rows)
-                return
-            if row >= nrows:
-                return
-            # boxes of value t+1 placed in this row
-            cap = remaining
-            if row > 0:
-                # horizontal strip: new row length <= previous row's old length
-                cap = min(cap, shape[row - 1] - new_shape[row])
-                # ballot: (t+1)'s in rows <= row can't exceed t's in rows < row
-                if t > 0:
-                    cap = min(cap, sum(prev_rows[:row]) - placed)
-            elif t > 0:
-                cap = 0  # values >= 2 can never sit in the top row
-            for add in range(cap, -1, -1):
-                old = new_shape[row]
-                new_shape[row] = old + add
-                rec(row + 1, remaining - add, placed + add, new_rows + [add])
-                new_shape[row] = old
+    rec(0, 0)
+    return out
 
-        rec(0, target, 0, [])
 
-    start = list(pad(mu, nrows))
-    if not nu:
-        lam = check_partition(tuple(start))
-        return {lam: 1}
-    place_strip(0, tuple(start), [])
-    return results
+def _chain_products(mu, nu, max_len):
+    """Expand s_mu * s_nu as {lam: count} over partitions lam with at most
+    max_len parts, by growing mu with horizontal strips of sizes nu_1,
+    nu_2, ... subject to the ballot condition: after placing value t, the
+    number of t's in rows 1..i never exceeds the number of (t-1)'s in rows
+    1..i-1.  A forward pass over {shape + ballot bounds: chains}: chains
+    reaching the same state are counted together.  A bound is capped at the
+    size of the strip it limits, so the last strip's states merge on shape
+    alone."""
+    # A state is one tuple, the padded shape and then the bounds (fewer
+    # objects than a pair of tuples); the first strip has no ballot bound.
+    states = {pad(mu, max_len) + (sum(nu),) * max_len: 1}
+    for i, boxes in enumerate(nu):
+        cap = nu[i + 1] if i + 1 < len(nu) else 0
+        advanced = {}
+        for state, count in states.items():
+            for key in _strips(state[:max_len], state[max_len:], boxes, cap):
+                advanced[key] = advanced.get(key, 0) + count
+        states = advanced
+    out = {}
+    for state, count in states.items():
+        lam = state[:max_len - state[:max_len].count(0)]
+        out[lam] = out.get(lam, 0) + count
+    return out
 
 
 def schur_product_expand(mu, nu, k):

@@ -21,7 +21,7 @@ from schurbox.partitions import complement, enumerate_pkn, size
 from schurbox.quotient import (
     QuotElem, _basis_product, check_context, coeff, multiply, omega, pieri_h,
     positivity_scan, reduce_h_overflow, s3_report, specialize_elem,
-    straighten_schur, structure_constant,
+    straighten_combination, straighten_schur, structure_constant,
 )
 from schurbox.tableaux import lr_coefficient
 
@@ -325,17 +325,19 @@ def test_parallel_scans_equal_serial(k, n):
 
 
 def _corrupt_product(monkeypatch, pair, nu, fn):
-    """Make the product table return fn(coefficient) at nu for the ordered
-    pair only; the cached table itself stays intact."""
+    """Make both the product table and the uncached builder that the
+    positivity scan reads return fn(coefficient) at nu for the ordered pair
+    only; the cached table itself stays intact."""
+    build = quotient._build_product
+
     def corrupted(k, n, lam, mu):
-        table = _basis_product(k, n, lam, mu)
-        if (lam, mu) != pair:
-            return table
-        table = dict(table)
-        table[nu] = fn(table.get(nu, APoly.const(0)))
+        table = build(k, n, lam, mu)
+        if (lam, mu) == pair:
+            table[nu] = fn(table.get(nu, APoly.const(0)))
         return table
 
     monkeypatch.setattr(quotient, "_basis_product", corrupted)
+    monkeypatch.setattr(quotient, "_build_product", corrupted)
 
 
 # At (2,4), s[2] s[1] = s[2,1] + a1*s[].  Only s[2] s[1] is corrupted, not
@@ -353,6 +355,10 @@ POSITIVITY_PAIR, POSITIVITY_NU = ((1,), (2, 1)), (1,)
 POSITIVITY_VIOLATION = {"lam": (1,), "mu": (2, 1), "nu": (1,),
                         "in_b_variables": "-b1"}
 
+# At (2,5), n-k-1 is even, so b_i = a_i.  s[1] s[3] = s[3,1] + a1*s[], and
+# a1 - a2 in place of a1 has the one negative monomial -b2.
+UNFLIPPED_PAIR, UNFLIPPED_NU = ((1,), (3,)), ()
+
 
 def test_s3_scan_reports_a_broken_ordered_pair(monkeypatch):
     _corrupt_product(monkeypatch, S3_PAIR, S3_NU, lambda c: c + 1)
@@ -367,6 +373,15 @@ def test_positivity_scan_reports_a_flipped_sign(monkeypatch):
     report = positivity_scan(2, 4)
     assert not report["ok"] and report["pairs"] == 21
     assert report["violations"] == [POSITIVITY_VIOLATION]
+
+
+def test_positivity_scan_unflipped_signs(monkeypatch):
+    _corrupt_product(monkeypatch, UNFLIPPED_PAIR, UNFLIPPED_NU,
+                     lambda c: c - APoly.gen(2))
+    report = positivity_scan(2, 5)
+    assert not report["ok"] and report["pairs"] == 55
+    assert report["violations"] == [
+        {"lam": (1,), "mu": (3,), "nu": (), "in_b_variables": "b1 - b2"}]
 
 
 def _cli(capsys, *argv):
@@ -454,12 +469,33 @@ def test_unit_coefficients_are_not_shared():
     assert pieri_h(2, 4, (1,), 1).render() == "s[1,1] + s[2]"
 
 
+def test_change_of_basis_zero_cells_are_not_shared():
+    zeros = [c for row in bases.change_of_basis_matrix(2, 4, "h")
+             for c in row if not c]
+    zeros[0].terms[(1,)] = 1
+    assert len(zeros) > 1 and not any(zeros[1:])
+    assert structure_constant(2, 4, (1,), (1,), (1,)).render() == "0"
+
+
+def test_schur_xpoly_is_not_the_cached_one():
+    schur_xpoly((1,), 2).terms.clear()
+    schur_xpoly((1,), 2).terms[(1, 0)].terms[(3,)] = 1
+    assert schur_xpoly((1,), 2).render() == "x1 + x2"
+
+
+def test_straighten_combination_drops_cancelled_terms():
+    # at (1,2), s[3] = a1*s[1]: an int and an APoly coefficient that cancel
+    result = straighten_combination(1, 2, {(3,): 1, (1,): -APoly.gen(1)})
+    assert result == QuotElem.zero(1, 2)
+    assert result.terms == {}
+
+
 def test_clear_caches_empties_every_cache():
     caches = (quotient._basis_product, quotient._straighten,
               quotient._complements, tableaux.lr_coefficient,
               tableaux.kostka, partitions.enumerate_pkn,
               partitions.enumerate_v_set, grobner.groebner_generators,
-              grobner._reduction_tails, grobner.schur_xpoly,
+              grobner._reduction_tails, grobner._schur_monomials,
               bases._kostka_inverse)
 
     def results():

@@ -123,6 +123,20 @@ def test_two_lr_routes_agree(mu, nu):
         assert lr_coefficient(lam, mu, nu) == expansion.get(lam, 0)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_two_lr_routes_agree_on_every_box_pair(k):
+    """Every ordered pair in the k x 3 box: the strip-chain expansion is
+    exactly the nonzero lr_coefficient values over all lam with at most k
+    parts (lam_1 <= mu_1 + nu_1, as for every Littlewood-Richardson
+    coefficient)."""
+    box = enumerate_pkn(k, k + 3)
+    for mu, nu in product(box, repeat=2):
+        d, width = size(mu) + size(nu), sum(mu[:1] + nu[:1])
+        want = {lam: c for lam in _partitions_of(d, k, width)
+                if (c := lr_coefficient(lam, mu, nu))}
+        assert schur_product_expand(mu, nu, k) == want, (mu, nu)
+
+
 @given(small_partitions(), small_partitions())
 @settings(max_examples=40, deadline=None)
 def test_lr_symmetry_in_factors(mu, nu):
