@@ -25,7 +25,7 @@ from .grobner import (
     schur_xpoly,
 )
 from .quotient import (
-    QuotElem, coeff, multiply, pieri_h, positivity_scan, reduce_h_overflow,
+    QuotElem, multiply, pieri_h, positivity_scan, reduce_h_overflow,
     s3_report, specialize_elem, straighten_schur, structure_constant,
 )
 from .bases import (
@@ -51,7 +51,7 @@ __all__ = [
     "APoly", "QuotElem", "XPoly",
     "basis_table", "change_of_basis_matrix", "check_partition",
     "classical_specialization", "classify_family", "clear_caches",
-    "cmp_graded_dominance", "cmp_size_antidominance", "coeff", "complement",
+    "cmp_graded_dominance", "cmp_size_antidominance", "complement",
     "conjugate", "dominates",
     "enumerate_pkn", "expand_e_conj", "expand_h", "expand_h_conj", "expand_m",
     "expand_p", "groebner_generators", "in_box", "kostka", "lr_coefficient",

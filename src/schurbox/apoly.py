@@ -83,9 +83,6 @@ class APoly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other):
         if isinstance(other, int):
             other = APoly.const(other)
@@ -146,14 +143,6 @@ class APoly:
         return out
 
     # -- queries -----------------------------------------------------------
-
-    def is_const(self):
-        return not self.terms or set(self.terms) == {()}
-
-    def const_value(self):
-        if not self.is_const():
-            raise ValueError(f"{self} is not constant")
-        return self.terms.get((), 0)
 
     def max_index(self):
         """Largest i such that a_i occurs (0 for constants)."""
@@ -366,13 +355,13 @@ def parse_apoly(text, var="a"):
 def classical_specialization(k):
     """a_i -> 0 for all i: the quotient becomes the classical cohomology ring
     of the Grassmannian and coefficients become Littlewood-Richardson numbers."""
-    return [ZERO] * k
+    return [APoly() for _ in range(k)]
 
 
 def quantum_specialization(k):
     """a_1, ..., a_{k-1} -> 0 and a_k -> -(-1)^k q: quantum cohomology."""
     q = APoly.monomial((1,), 1)
-    vals = [ZERO] * k
+    vals = [APoly() for _ in range(k)]
     vals[k - 1] = q * (-((-1) ** k))
     return vals
 
@@ -386,7 +375,7 @@ def parse_specialization(text, k):
         return classical_specialization(k)
     if text == "quantum":
         return quantum_specialization(k)
-    vals = [ZERO] * k
+    vals = [APoly() for _ in range(k)]
     for piece in text.split(","):
         piece = piece.strip()
         if not piece:

@@ -18,7 +18,7 @@ cross-checked rather than expanded symbolically.
 
 from functools import lru_cache
 
-from .apoly import APoly, ONE
+from .apoly import APoly
 from .partitions import (
     check_in_box, check_partition, cmp_graded_dominance,
     cmp_size_antidominance, conjugate, enumerate_pkn, partitions_in_rect,
@@ -175,7 +175,7 @@ def unitriangularity_check(k, n, family):
             elem = expand_h(k, n, lam)
             for mu, c in elem.terms.items():
                 if mu == lam:
-                    if c != ONE:
+                    if c != 1:
                         failures.append({"row": lam, "col": mu,
                                          "entry": c.render(),
                                          "why": "diagonal not 1"})

@@ -19,19 +19,14 @@ from .apoly import (
     APoly, APolyModule, accumulate, attach_coefficient, iter_poly_terms,
     join_signed, monomial_factors, term_exponents,
 )
-from .partitions import compositions
+from .partitions import check_partition, compositions
+from .tableaux import kostka
 
 
 def deglex_key(mono):
     """Sort key: ascending by total degree, then lexicographically with a
     larger exponent on an earlier variable winning."""
     return (sum(mono), mono)
-
-
-def deglex_compare(u, v):
-    """-1, 0, or 1 as u <, =, > v in deglex."""
-    ku, kv = deglex_key(u), deglex_key(v)
-    return (ku > kv) - (ku < kv)
 
 
 class XPoly(APolyModule):
@@ -88,11 +83,6 @@ class XPoly(APolyModule):
         return self._new(out)
 
     __rmul__ = __mul__
-
-    def leading_monomial(self):
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading monomial")
-        return max(self.terms, key=deglex_key)
 
     def render(self):
         """Canonical text: terms in descending deglex; single-monomial
@@ -152,18 +142,6 @@ def e_on_vars(t, k, hi=None):
     return p
 
 
-def power_sum_xpoly(r, k):
-    """The power sum x_1^r + ... + x_k^r (r >= 1)."""
-    if r < 1:
-        raise ValueError("power sum index must be >= 1")
-    p = XPoly(k)
-    for i in range(k):
-        mono = [0] * k
-        mono[i] = r
-        p = p + XPoly.monomial(k, tuple(mono), 1)
-    return p
-
-
 @lru_cache(maxsize=None)
 def groebner_generators(k, n):
     """The Groebner basis (b_1, ..., b_k) of the defining ideal, deglex
@@ -219,12 +197,6 @@ def normal_form(k, n, p):
     return p._new(terms)
 
 
-def is_normal(k, n, p):
-    """True iff no monomial of p is divisible by any x_i^{n-k+i}."""
-    bounds = tuple(n - k + i for i in range(1, k + 1))
-    return all(all(m[i] < bounds[i] for i in range(k)) for m in p.terms)
-
-
 def monomial_basis(k, n):
     """All monomials x^alpha with alpha_i < n - k + i, in ascending deglex
     order; a Z[a]-module basis of the quotient, of size n(n-1)...(n-k+1)."""
@@ -237,10 +209,8 @@ def monomial_basis(k, n):
 
 
 def schur_xpoly(lam, k):
-    """The Schur polynomial s_lam(x_1, ..., x_k), computed by enumerating
-    semistandard tableaux of shape lam with entries at most k.  Zero when
-    lam has more than k rows.  A new XPoly that the caller owns."""
-    from .partitions import check_partition
+    """The Schur polynomial s_lam(x_1, ..., x_k).  Zero when lam has more
+    than k rows.  A new XPoly that the caller owns."""
     p = XPoly(k)
     p.terms = {m: APoly.const(c)
                for m, c in _schur_monomials(check_partition(lam), k)}
@@ -249,33 +219,9 @@ def schur_xpoly(lam, k):
 
 @lru_cache(maxsize=None)
 def _schur_monomials(lam, k):
-    """The (exponent tuple, tableau count) items of s_lam(x_1, ..., x_k)."""
-    if len(lam) > k:
-        return ()
-    if not lam:
-        return (((0,) * k, 1),)
-    out = {}
-
-    def fill_row(r, prev_row, content):
-        if r == len(lam):
-            mono = tuple(content)
-            out[mono] = out.get(mono, 0) + 1
-            return
-        width = lam[r]
-
-        def fill_cell(c, lo, content):
-            if c == width:
-                fill_row(r + 1, row, content)
-                return
-            floor = prev_row[c] + 1 if prev_row and c < len(prev_row) else 1
-            for v in range(max(lo, floor), k + 1):
-                row[c] = v
-                content[v - 1] += 1
-                fill_cell(c + 1, v, content)
-                content[v - 1] -= 1
-
-        row = [0] * width
-        fill_cell(0, 1, content)
-
-    fill_row(0, None, [0] * k)
-    return tuple(out.items())
+    """The (exponent tuple, coefficient) items of s_lam(x_1, ..., x_k) =
+    sum_mu K_{lam,mu} m_mu: the coefficient of x^alpha is the Kostka number
+    of lam and alpha sorted into a partition."""
+    items = ((alpha, kostka(lam, tuple(sorted(alpha, reverse=True))))
+             for alpha in compositions(sum(lam), k))
+    return tuple((alpha, c) for alpha, c in items if c)

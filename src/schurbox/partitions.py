@@ -184,28 +184,6 @@ def cmp_graded_dominance(lam, mu):
     return INCOMPARABLE
 
 
-def is_horizontal_strip(lam, mu, j):
-    """True iff mu <= lam, |lam/mu| = j, and lam/mu has at most one box per
-    column (equivalently lam_{i+1} <= mu_i for all i)."""
-    if not contains(lam, mu):
-        return False
-    if sum(lam) - sum(mu) != j:
-        return False
-    mu_p = pad(mu, len(lam)) if len(lam) else ()
-    return all(lam[i + 1] <= mu_p[i] for i in range(len(lam) - 1))
-
-
-def is_vertical_strip(lam, mu, i):
-    """True iff mu <= lam, |lam/mu| = i, and lam/mu has at most one box per
-    row (lam_j - mu_j <= 1 for all j)."""
-    if not contains(lam, mu):
-        return False
-    if sum(lam) - sum(mu) != i:
-        return False
-    mu_p = pad(mu, len(lam)) if len(lam) else ()
-    return all(lam[j] - mu_p[j] <= 1 for j in range(len(lam)))
-
-
 def entrywise_sum(mu, nu):
     """The partition mu + nu (componentwise, after zero padding)."""
     k = max(len(mu), len(nu))

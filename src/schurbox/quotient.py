@@ -27,9 +27,9 @@ from .apoly import (
 from .partitions import (
     check_box, check_in_box, check_partition, complement, enumerate_pkn,
     enumerate_v_set, horizontal_strip_extensions, in_box, pad, size,
-    straighten_vector, subpartitions_of_size,
+    straighten_vector,
 )
-from .tableaux import lr_coefficient, schur_product_expand
+from .tableaux import schur_product_expand, skew_schur_expand
 
 
 def check_context(k, n):
@@ -102,14 +102,6 @@ class QuotElem(APolyModule):
         that the caller owns."""
         mu = check_in_box(check_partition(mu), self.k, self.n)
         return APoly(self.terms.get(mu, ZERO).terms)
-
-    def map_coeffs(self, fn):
-        p = QuotElem(self.k, self.n)
-        for lam, c in self.terms.items():
-            c2 = fn(c)
-            if c2:
-                p.terms[lam] = c2
-        return p
 
     def render(self):
         """Text form, largest basis element first:
@@ -233,11 +225,6 @@ def multiply(f, g):
     return f._new(out)
 
 
-def coeff(f, mu):
-    """Extract the s[mu]-coefficient of an element."""
-    return f.coeff(mu)
-
-
 def structure_constant(k, n, alpha, beta, gamma):
     """g(alpha, beta, gamma) = coeff of s[complement(gamma)] in
     s[alpha] * s[beta]; symmetric in all three arguments.  Returns a new
@@ -254,12 +241,12 @@ def structure_constant(k, n, alpha, beta, gamma):
 
 def pieri_h(k, n, lam, j):
     """Multiply s[lam] by the class of h_j (0 <= j <= n-k), by the closed
-    rule: horizontal j-strip extensions inside the box, plus hook-shaped
-    Littlewood-Richardson corrections weighted by (-1)^{i+1} a_i:
+    rule: horizontal j-strip extensions inside the box, corrected for each
+    i by the skew class s_{lam/hook} of the hook (n-k-j+1, 1^{i-1}),
+    weighted by (-1)^{i+1} a_i:
 
         s[lam] h_j = sum_{mu} s[mu]
-                     - sum_{i=1..k} (-1)^i a_i
-                       sum_{nu <= lam} c^{lam}_{(n-k-j+1, 1^{i-1}), nu} s[nu]
+                     - sum_{i=1..k} (-1)^i a_i s[lam/(n-k-j+1, 1^{i-1})]
     """
     check_context(k, n)
     lam = check_in_box(check_partition(lam), k, n)
@@ -270,14 +257,9 @@ def pieri_h(k, n, lam, j):
         accumulate(out, mu, APoly.const(1))
     for i in range(1, k + 1):
         hook = (n - k - j + 1,) + (1,) * (i - 1)
-        d = size(lam) - (n - k - j + i)
-        if d < 0:
-            continue
         coeff_i = APoly.gen(i) * (1 if i % 2 else -1)
-        for nu in subpartitions_of_size(lam, d):
-            c = lr_coefficient(lam, hook, nu)
-            if c:
-                accumulate(out, nu, coeff_i * c)
+        for nu, c in skew_schur_expand(lam, hook).items():
+            accumulate(out, nu, coeff_i * c)
     p = QuotElem(k, n)
     p.terms = out
     return p

@@ -14,8 +14,8 @@ from functools import lru_cache
 from .apoly import accumulate
 from .partitions import (
     check_partition, compositions, contains, dominates, entrywise_sum,
-    horizontal_strip_restrictions, pad, partitions_in_rect, sorted_concat,
-    straighten_vector,
+    horizontal_strip_restrictions, pad, sorted_concat, straighten_vector,
+    subpartitions_of_size,
 )
 
 
@@ -182,9 +182,8 @@ def skew_schur_expand(lam, mu):
     lam, mu = check_partition(lam), check_partition(mu)
     if not contains(lam, mu):
         return {}
-    d = sum(lam) - sum(mu)
     out = {}
-    for nu in partitions_in_rect(d, len(lam), lam[0] if lam else 0):
+    for nu in subpartitions_of_size(lam, sum(lam) - sum(mu)):
         c = lr_coefficient(lam, mu, nu)
         if c:
             out[nu] = c

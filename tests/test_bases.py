@@ -14,7 +14,7 @@ from schurbox.bases import (
     family_element, power_sum_class, s_in_m, unitriangularity_check,
 )
 from schurbox.grobner import (
-    XPoly, e_on_vars, h_on_vars, normal_form, power_sum_xpoly, schur_xpoly,
+    XPoly, e_on_vars, h_on_vars, normal_form, parse_xpoly, schur_xpoly,
 )
 from schurbox.partitions import conjugate, enumerate_pkn, pad, size
 from schurbox.quotient import QuotElem
@@ -27,6 +27,11 @@ def quot(k, n, text_terms):
     for lam, c in text_terms.items():
         p = p + QuotElem.basis(k, n, lam) * parse_apoly(c)
     return p
+
+
+def power_sum_xpoly(r, k):
+    """Oracle: the power sum x_1^r + ... + x_k^r."""
+    return parse_xpoly(" + ".join(f"x{i}^{r}" for i in range(1, k + 1)), k)
 
 
 def monomial_sym_xpoly(lam, k):

@@ -13,17 +13,19 @@ from schurbox import (
     bases, clear_caches, grobner, partitions, quotient, tableaux,
 )
 from schurbox.apoly import (
-    APoly, classical_specialization, quantum_specialization,
+    APoly, classical_specialization, parse_specialization,
+    quantum_specialization,
 )
 from schurbox.cli import main
 from schurbox.grobner import h_on_vars, normal_form, schur_xpoly
 from schurbox.partitions import complement, enumerate_pkn, size
 from schurbox.quotient import (
-    QuotElem, _basis_product, check_context, coeff, multiply, omega, pieri_h,
+    QuotElem, _basis_product, check_context, multiply, omega, pieri_h,
     positivity_scan, reduce_h_overflow, s3_report, specialize_elem,
     straighten_combination, straighten_schur, structure_constant,
 )
 from schurbox.tableaux import lr_coefficient
+from test_apoly import const_value
 
 
 @st.composite
@@ -130,7 +132,8 @@ def test_ring_laws(f, g, h):
 @settings(max_examples=20, deadline=None)
 def test_scalar_action(f):
     assert f * 2 == f + f
-    assert f * APoly.gen(2) == f.map_coeffs(lambda c: c * APoly.gen(2))
+    assert f * APoly.gen(2) == QuotElem(
+        3, 6, {lam: c * APoly.gen(2) for lam, c in f.terms.items()})
 
 
 # -- Pieri --------------------------------------------------------------------
@@ -208,8 +211,8 @@ def test_top_coefficient_pairing_is_complementation():
         w = omega(k, n)
         for lam in enumerate_pkn(k, n):
             for mu in enumerate_pkn(k, n):
-                g = coeff(multiply(QuotElem.basis(k, n, lam),
-                                   QuotElem.basis(k, n, mu)), w)
+                g = multiply(QuotElem.basis(k, n, lam),
+                             QuotElem.basis(k, n, mu)).coeff(w)
                 want = 1 if mu == complement(lam, k, n) else 0
                 assert g == APoly.const(want), (lam, mu)
 
@@ -222,7 +225,7 @@ def test_schur_vanishing_above_the_box():
         from schurbox.partitions import partitions_in_rect
         for d in range(0, 2 * (n - k) * k + 1):
             for lam in partitions_in_rect(d, k, 2 * (n - k)):
-                c = coeff(straighten_schur(k, n, lam), w)
+                c = straighten_schur(k, n, lam).coeff(w)
                 want = APoly.const(1 if lam == w else 0)
                 assert c == want, (k, n, lam)
 
@@ -238,7 +241,7 @@ def test_h_monomial_vanishing():
             f = QuotElem.one(k, n)
             for g in gamma:
                 f = multiply(f, straighten_schur(k, n, (g,)))
-            c = coeff(f, w)
+            c = f.coeff(w)
             want = APoly.const(1 if gamma == w else 0)
             assert c == want, (k, n, gamma)
 
@@ -263,7 +266,7 @@ def test_classical_limit_gives_lr_numbers():
             for mu in enumerate_pkn(k, n):
                 prod = multiply(QuotElem.basis(k, n, lam),
                                 QuotElem.basis(k, n, mu))
-                got = {nu: c.const_value()
+                got = {nu: const_value(c)
                        for nu, c in specialize_elem(prod, zeros).items()}
                 want = {nu: lr_coefficient(nu, lam, mu)
                         for nu in enumerate_pkn(k, n)
@@ -458,6 +461,17 @@ def test_structure_constant_is_not_the_table_entry():
 def test_missing_coeff_is_not_the_shared_zero():
     QuotElem.basis(2, 4, (1,)).coeff((2,)).terms[(1,)] = 1
     assert structure_constant(2, 4, (1,), (1,), (1,)).render() == "0"
+
+
+def test_specialization_slots_are_not_the_shared_zero():
+    classical_specialization(2)[0].terms[()] = 5
+    quantum_specialization(2)[0].terms[()] = 6
+    parse_specialization("a2=q", 2)[0].terms[()] = 7
+    assert structure_constant(2, 4, (2,), (2,), (2,)) == 0
+    assert classical_specialization(2) == [APoly(), APoly()]
+    spec = parse_specialization("classical", 3)
+    spec[0].terms[(1,)] = 1
+    assert not spec[1] and not spec[2]
 
 
 def test_unit_coefficients_are_not_shared():

@@ -7,16 +7,18 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schurbox.grobner import XPoly, schur_xpoly
+from schurbox.grobner import XPoly, deglex_key, h_on_vars, schur_xpoly
 from schurbox.partitions import (
     check_partition, complement, conjugate, contains, dominates,
-    entrywise_sum, enumerate_pkn, is_horizontal_strip, pad, size,
-    sorted_concat, horizontal_strip_extensions,
+    entrywise_sum, enumerate_pkn, pad, size, sorted_concat,
+    horizontal_strip_extensions,
 )
 from schurbox.tableaux import (
     kostka, lr_coefficient, schur_product_expand, skew_schur_expand,
     uncancelled_pieri,
 )
+from test_apoly import const_value
+from test_grobner import xpoly_det
 
 
 def schur_decompose(p, k):
@@ -25,10 +27,10 @@ def schur_decompose(p, k):
     is always a partition."""
     out = {}
     while p:
-        mono = p.leading_monomial()
+        mono = max(p.terms, key=deglex_key)
         lam = check_partition(mono)
         assert tuple(pad(lam, k)) == mono, f"leading term {mono} not dominant"
-        c = p.terms[mono].const_value()
+        c = const_value(p.terms[mono])
         out[lam] = c
         p = p - schur_xpoly(lam, k) * c
     return out
@@ -68,12 +70,16 @@ def test_kostka_size_mismatch():
 @given(small_partitions())
 @settings(max_examples=40)
 def test_kostka_matches_monomial_coefficients(lam):
-    # K_{lam,mu} is the coefficient of x^mu in s_lam
+    # K_{lam,mu} is the coefficient of x^mu in s_lam, built here as the
+    # Jacobi-Trudi determinant det(h_{lam_u - u + v}), not from kostka
     k = max(len(lam), 1) + 1
-    s = schur_xpoly(lam, k)
+    m = max(len(lam), 1)
+    parts = pad(lam, m)
+    s = xpoly_det([[h_on_vars(parts[u] - u + v, k) for v in range(m)]
+                   for u in range(m)])
     for mu in _partitions_of(size(lam), k, max(size(lam), 1)):
         want = s.terms.get(tuple(pad(mu, k)))
-        want = want.const_value() if want is not None else 0
+        want = const_value(want) if want is not None else 0
         assert kostka(lam, mu) == want
 
 
