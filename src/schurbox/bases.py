@@ -8,6 +8,10 @@ For lam in P_{k,n} the candidate families are
     p:  p_lam = p_{lam_1} p_{lam_2} ...      (power sums)
     ht: h_{lam^t}                             (h on the conjugate index)
 
+h, e, p and ht are products of one-part classes through ``multiply``:
+h_r = s_(r), e_r = s_(1^r), and p_r by its hook expansion.  m inverts the
+Kostka matrix of each size stratum.
+
 h, m and e are always bases.  p and ht may fail, or be bases only over
 fields of certain characteristics; ``classify_family`` decides by computing
 the determinant of the change-of-basis matrix against (s[lam]).  Because the
@@ -32,28 +36,38 @@ from .tableaux import kostka
 
 
 def _check_indexing(k, n, lam):
+    check_context(k, n)
     return check_in_box(check_partition(lam), k, n)
 
 
-def _expand_h_product(k, n, nu):
-    """Class of h_nu = h_{nu_1} h_{nu_2} ... for an arbitrary partition nu:
-    h_nu = sum over partitions mu of |nu| with at most k parts of
-    K_{mu,nu} s_mu, then straightened."""
-    d = sum(nu)
-    return straighten_combination(k, n, {
-        mu: kostka(mu, nu) for mu in partitions_in_rect(d, k, d)})
+def _one_part_product(k, n, parts, factor):
+    """The product of the one-part classes factor(k, n, r) over r in parts
+    (the class of 1 when parts is empty)."""
+    out = QuotElem.one(k, n)
+    for r in parts:
+        out = multiply(out, factor(k, n, r))
+    return out
+
+
+def _h_class(k, n, r):
+    """Class of h_r, the one-row s_(r)."""
+    return straighten_schur(k, n, (r,))
+
+
+def _e_class(k, n, r):
+    """Class of e_r, the one-column s_(1^r)."""
+    return straighten_schur(k, n, (1,) * r)
 
 
 def expand_h(k, n, lam):
-    """Class of h_lam for lam in the box."""
-    check_context(k, n)
-    return _expand_h_product(k, n, _check_indexing(k, n, lam))
+    """Class of h_lam = h_{lam_1} h_{lam_2} ... for lam in the box."""
+    return _one_part_product(k, n, _check_indexing(k, n, lam), _h_class)
 
 
 def expand_h_conj(k, n, lam):
     """Class of h_{lam^t} for lam in the box."""
-    check_context(k, n)
-    return _expand_h_product(k, n, conjugate(_check_indexing(k, n, lam)))
+    return _one_part_product(k, n, conjugate(_check_indexing(k, n, lam)),
+                             _h_class)
 
 
 @lru_cache(maxsize=None)
@@ -77,7 +91,6 @@ def expand_m(k, n, lam):
     """Class of the monomial symmetric polynomial m_lam for lam in the box,
     via exact inversion of the stratum Kostka matrix: m_lam =
     sum_j inv[lam][j] s_{mu_j}, each s_{mu_j} straightened."""
-    check_context(k, n)
     lam = _check_indexing(k, n, lam)
     stratum, inv = _kostka_inverse(k, size(lam))
     row = inv[stratum.index(lam)]
@@ -87,7 +100,6 @@ def expand_m(k, n, lam):
 def s_in_m(k, n, lam):
     """The forward expansion s[lam] = sum_mu K_{lam,mu} m[mu]; nonzero
     entries land inside the box automatically (dominated by lam)."""
-    check_context(k, n)
     lam = _check_indexing(k, n, lam)
     out = {}
     for mu in partitions_in_rect(size(lam), k, n - k):
@@ -99,13 +111,9 @@ def s_in_m(k, n, lam):
 
 def expand_e_conj(k, n, lam):
     """Class of e_{lam^t} = e_{(lam^t)_1} e_{(lam^t)_2} ... for lam in the
-    box; each factor e_r is the class of the column s_{(1^r)}."""
-    check_context(k, n)
-    lam = _check_indexing(k, n, lam)
-    out = QuotElem.one(k, n)
-    for r in conjugate(lam):
-        out = multiply(out, straighten_schur(k, n, (1,) * r))
-    return out
+    box."""
+    return _one_part_product(k, n, conjugate(_check_indexing(k, n, lam)),
+                             _e_class)
 
 
 def power_sum_class(k, n, r):
@@ -120,12 +128,8 @@ def power_sum_class(k, n, r):
 
 def expand_p(k, n, lam):
     """Class of p_lam = p_{lam_1} p_{lam_2} ... for lam in the box."""
-    check_context(k, n)
-    lam = _check_indexing(k, n, lam)
-    out = QuotElem.one(k, n)
-    for r in lam:
-        out = multiply(out, power_sum_class(k, n, r))
-    return out
+    return _one_part_product(k, n, _check_indexing(k, n, lam),
+                             power_sum_class)
 
 
 _EXPANDERS = {"h": expand_h, "m": expand_m, "e": expand_e_conj,
@@ -162,45 +166,46 @@ def change_of_basis_matrix(k, n, family):
     return [[row.get(mu) or APoly() for mu in basis] for row in rows]
 
 
+# family -> (row source, the order each row must descend in)
+_TRIANGULAR = {"h": (lambda k, n, lam: expand_h(k, n, lam).terms,
+                     cmp_size_antidominance),
+               "m": (s_in_m, cmp_graded_dominance)}
+
+
 def unitriangularity_check(k, n, family):
     """Verify the triangularity statements: the h family is unitriangular
     against s under size-then-antidominance, and s is unitriangular against
     m under graded dominance (within each size stratum).  Returns a report
     with any offending entries."""
     check_context(k, n)
-    basis = enumerate_pkn(k, n)
-    failures = []
-    if family == "h":
-        for lam in basis:
-            elem = expand_h(k, n, lam)
-            for mu, c in elem.terms.items():
-                if mu == lam:
-                    if c != 1:
-                        failures.append({"row": lam, "col": mu,
-                                         "entry": c.render(),
-                                         "why": "diagonal not 1"})
-                elif cmp_size_antidominance(lam, mu) != GREATER:
-                    failures.append({"row": lam, "col": mu,
-                                     "entry": c.render(),
-                                     "why": "entry above the diagonal order"})
-    elif family == "m":
-        for lam in basis:
-            row = s_in_m(k, n, lam)
-            for mu, c in row.items():
-                if mu == lam:
-                    if c != 1:
-                        failures.append({"row": lam, "col": mu, "entry": c,
-                                         "why": "diagonal not 1"})
-                elif cmp_graded_dominance(lam, mu) != GREATER:
-                    failures.append({"row": lam, "col": mu, "entry": c,
-                                     "why": "entry above the diagonal order"})
-    else:
+    if family not in _TRIANGULAR:
         raise ValueError("triangularity is checked for the h and m families")
+    row_of, order = _TRIANGULAR[family]
+    failures = []
+    for lam in enumerate_pkn(k, n):
+        for mu, c in row_of(k, n, lam).items():
+            if mu == lam and c != 1:
+                why = "diagonal not 1"
+            elif mu != lam and order(lam, mu) != GREATER:
+                why = "entry above the diagonal order"
+            else:
+                continue
+            entry = c.render() if isinstance(c, APoly) else c
+            failures.append({"row": lam, "col": mu, "entry": entry,
+                             "why": why})
     return {"k": k, "n": n, "family": family,
             "ok": not failures, "failures": failures}
 
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+def _first_primes(count):
+    """The first count primes, by trial division."""
+    primes = []
+    m = 2
+    while len(primes) < count:
+        if all(m % p for p in primes):
+            primes.append(m)
+        m += 1
+    return primes
 
 
 def _bareiss_det(mat):
@@ -251,7 +256,7 @@ def classify_family(k, n, family):
     basis, rows = _family_terms(k, n, family)
     at_zero = [[c.terms.get((), 0) if c else 0 for c in map(row.get, basis)]
                for row in rows]
-    primes = _PRIMES[:k]
+    primes = _first_primes(k)
     at_primes = [[c.evaluate(primes) if c else 0 for c in map(row.get, basis)]
                  for row in rows]
     d0 = _bareiss_det(at_zero)
@@ -267,7 +272,9 @@ def classify_family(k, n, family):
 
 def basis_table(family, n_max, jobs=1):
     """Classification of every cell 1 <= k < n <= n_max; returns
-    {(k, n): (verdict, detail)}."""
+    {(k, n): (verdict, detail)}.  The grid needs n_max >= 2."""
+    if n_max < 2:
+        raise ValueError(f"n_max must be at least 2, got {n_max}")
     cells = [(k, n) for n in range(2, n_max + 1) for k in range(1, n)]
     results = _parallel_map(_classify_cell,
                             [(k, n, family) for (k, n) in cells], jobs)

@@ -110,15 +110,10 @@ def parse_xpoly(text, k):
 def h_on_vars(m, k, lo=1):
     """Complete homogeneous h_m(x_lo, ..., x_k) as an XPoly in k variables.
     h_0 = 1; h_m = 0 when m < 0 or the variable range is empty with m > 0."""
-    if m < 0:
-        return XPoly(k)
-    if m == 0:
-        return XPoly.const(k, 1)
-    if lo > k:
-        return XPoly(k)
+    slots = max(k - lo + 1, 0)
     p = XPoly(k)
-    p.terms = {(0,) * (lo - 1) + beta: APoly.const(1)
-               for beta in compositions(m, k - lo + 1)}
+    p.terms = {(0,) * (k - slots) + beta: APoly.const(1)
+               for beta in compositions(m, slots)}
     return p
 
 
@@ -127,25 +122,16 @@ def e_on_vars(t, k, hi=None):
     e_t = 0 for t < 0 or t > hi."""
     if hi is None:
         hi = k
-    if t < 0 or t > hi:
-        return XPoly(k)
-    if t == 0:
-        return XPoly.const(k, 1)
-    out = {}
-    for subset in combinations(range(hi), t):
-        mono = [0] * k
-        for i in subset:
-            mono[i] = 1
-        out[tuple(mono)] = APoly.const(1)
     p = XPoly(k)
-    p.terms = out
+    if t >= 0:
+        p.terms = {tuple(int(i in subset) for i in range(k)): APoly.const(1)
+                   for subset in combinations(range(hi), t)}
     return p
 
 
-@lru_cache(maxsize=None)
 def groebner_generators(k, n):
     """The Groebner basis (b_1, ..., b_k) of the defining ideal, deglex
-    leading terms x_i^{n-k+i}."""
+    leading terms x_i^{n-k+i}; new XPolys that the caller owns."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     gens = []

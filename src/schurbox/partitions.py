@@ -202,9 +202,9 @@ def straighten_vector(alpha):
 
     For alpha in Z^k let beta = alpha + (k-1, k-2, ..., 0).  If beta has a
     negative or repeated entry the alternant vanishes and None is returned.
-    Otherwise returns (sign, lam) where sign = (-1)^sigma for the permutation
-    sigma sorting beta strictly decreasing and lam is the partition with
-    lam_i = beta_{sigma(i)} - (k - i); then s_alpha = sign * s_lam.
+    Otherwise returns (sign, lam) where lam_i = (beta sorted strictly
+    decreasing)_i - (k - i) and sign = (-1)^(number of pairs i < j with
+    beta_i < beta_j), the sign of that sort; then s_alpha = sign * s_lam.
     """
     k = len(alpha)
     beta = tuple(alpha[i] + (k - 1 - i) for i in range(k))
@@ -212,22 +212,10 @@ def straighten_vector(alpha):
         return None
     if len(set(beta)) != k:
         return None
-    order = sorted(range(k), key=lambda i: -beta[i])
-    sign = 1
-    seen = [False] * k
-    for start in range(k):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = order[i]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    lam = tuple(beta[order[i]] - (k - 1 - i) for i in range(k))
-    return sign, check_partition(lam)
+    ascents = sum(1 for a, b in combinations(beta, 2) if a < b)
+    lam = tuple(b - (k - 1 - i)
+                for i, b in enumerate(sorted(beta, reverse=True)))
+    return -1 if ascents % 2 else 1, check_partition(lam)
 
 
 def compositions(m, slots):

@@ -252,6 +252,9 @@ def test_classify_known_cells():
     assert classify_family(2, 3, "ht") == ("no", 0)
     assert classify_family(2, 5, "ht") == ("st", 2)
     assert classify_family(3, 6, "ht") == ("yes", 1)
+    # past twelve variables, so past any fixed table of evaluation points
+    assert classify_family(14, 15, "p") == ("yes", 1)
+    assert classify_family(14, 15, "ht") == ("no", 0)
     for family in ("h", "m", "e"):
         assert classify_family(3, 6, family) == ("yes", 1)
         assert classify_family(2, 5, family) == ("yes", 1)
@@ -260,9 +263,27 @@ def test_classify_known_cells():
 
 
 def test_h_m_e_always_bases_small():
-    for family in ("h", "m", "e"):
-        table = basis_table(family, 6)
+    for family, n_max in (("h", 8), ("m", 6), ("e", 8)):
+        table = basis_table(family, n_max)
+        assert len(table) == n_max * (n_max - 1) // 2
         assert all(v == ("yes", 1) for v in table.values()), (family, table)
+
+
+def test_basis_table_ht_to_8():
+    assert basis_table("ht", 8) == {
+        (1, 2): ("yes", 1),
+        (1, 3): ("yes", 1), (2, 3): ("no", 0),
+        (1, 4): ("yes", 1), (2, 4): ("yes", 1), (3, 4): ("no", 0),
+        (1, 5): ("yes", 1), (2, 5): ("st", 2), (3, 5): ("no", 0),
+        (4, 5): ("no", 0),
+        (1, 6): ("yes", 1), (2, 6): ("no", 0), (3, 6): ("yes", 1),
+        (4, 6): ("no", 0), (5, 6): ("no", 0),
+        (1, 7): ("yes", 1), (2, 7): ("st", 324), (3, 7): ("st", 144),
+        (4, 7): ("no", 0), (5, 7): ("no", 0), (6, 7): ("no", 0),
+        (1, 8): ("yes", 1), (2, 8): ("st", 25515), (3, 8): ("no", 0),
+        (4, 8): ("yes", 1), (5, 8): ("no", 0), (6, 8): ("no", 0),
+        (7, 8): ("no", 0),
+    }
 
 
 def test_basis_table_p_small():

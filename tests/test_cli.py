@@ -268,6 +268,15 @@ def test_basis_table_json(capsys):
     }
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("n_max", ["1", "0", "-3"])
+def test_basis_table_n_max_below_two_is_usage_error(capsys, fmt, n_max):
+    rc, out, err = run(capsys, "basis-table", "--family", "p",
+                       "--n-max", n_max, "--format", fmt)
+    assert rc == 2 and out == ""
+    assert err == f"error: n_max must be at least 2, got {n_max}\n"
+
+
 def test_basis_table_parallel_matches_serial(capsys):
     rc1, out1, _ = run(capsys, "basis-table", "--family", "e", "--n-max", "5")
     rc2, out2, _ = run(capsys, "basis-table", "--family", "e", "--n-max", "5",

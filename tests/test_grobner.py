@@ -262,6 +262,17 @@ def test_generators_frozen_2_5():
     assert b2.render() == "x2^5 + a1*x1 - a2"
 
 
+def test_generators_are_owned_by_the_caller():
+    # a caller that empties a returned generator must not change the next
+    # call, nor the reduction that normal_form builds from it
+    groebner_generators(2, 4)[0].terms.clear()
+    b1, b2 = groebner_generators(2, 4)
+    assert b1 == parse_xpoly("x1^3 + x1^2*x2 + x1*x2^2 + x2^3 - a1", 2)
+    assert b2 == parse_xpoly("x2^4 + a1*x1 - a2", 2)
+    assert normal_form(2, 4, XPoly.monomial(2, (3, 0))).render() == \
+        "-x1^2*x2 - x1*x2^2 - x2^3 + a1"
+
+
 def test_normal_form_examples_2_5():
     x1_4 = XPoly.monomial(2, (4, 0))
     assert normal_form(2, 5, x1_4).render() == \

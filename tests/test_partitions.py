@@ -314,6 +314,37 @@ def test_straighten_vector_sign_is_consistent(alpha):
     assert [lam_p[i] + (k - 1 - i) for i in range(k)] == beta
 
 
+def laplace_det(rows):
+    """Oracle: determinant by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * rows[0][j] *
+               laplace_det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j in range(len(rows)))
+
+
+@given(st.lists(st.integers(min_value=-3, max_value=6), min_size=1, max_size=5))
+def test_straighten_vector_sign_matches_the_alternant(alpha):
+    # over distinct integers x, det[x^b for b in beta] = sign * the same
+    # determinant with beta sorted decreasingly, and 0 when beta repeats
+    k = len(alpha)
+    beta = [alpha[i] + (k - 1 - i) for i in range(k)]
+    xs = range(2, k + 2)
+
+    def alternant(exps):
+        return laplace_det([[x ** b for b in exps] for x in xs])
+
+    res = straighten_vector(tuple(alpha))
+    if res is None:
+        if min(beta) >= 0:
+            assert alternant(beta) == 0
+        return
+    sign, _ = res
+    want = alternant(sorted(beta, reverse=True))
+    assert want != 0
+    assert alternant(beta) == sign * want
+
+
 # -- the rim-hook vector set ---------------------------------------------------
 
 def test_v_set_example():

@@ -508,8 +508,8 @@ def test_clear_caches_empties_every_cache():
     caches = (quotient._basis_product, quotient._straighten,
               quotient._complements, tableaux.lr_coefficient,
               tableaux.kostka, partitions.enumerate_pkn,
-              partitions.enumerate_v_set, grobner.groebner_generators,
-              grobner._reduction_tails, grobner._schur_monomials,
+              partitions.enumerate_v_set, grobner._reduction_tails,
+              grobner._schur_monomials,
               bases._kostka_inverse)
 
     def results():
