@@ -23,15 +23,33 @@ def _trim(exps):
     return exps
 
 
-def accumulate(out, key, c):
-    """Add c to out[key] in a sparse dict, dropping the key when the sum is
-    zero, so that no zero coefficient is ever stored."""
-    s = out.get(key)
-    s = c if s is None else s + c
-    if s:
-        out[key] = s
-    else:
-        out.pop(key, None)
+def add_product(exps, p, q):
+    """Add p*q into exps, a dict {exponent tuple: int}, in place: p is an
+    APoly, q an APoly or an int.  Sums that reach zero stay in exps until
+    poly_of drops them."""
+    if isinstance(q, int):
+        for e, c in p.terms.items():
+            exps[e] = exps.get(e, 0) + c * q
+        return
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            # Exponents are nonnegative, so the sum of two trimmed tuples is
+            # trimmed: the longer one's last entry survives.
+            e = tuple(map(add, e1, e2)) + e1[len(e2):] + e2[len(e1):]
+            exps[e] = exps.get(e, 0) + c1 * c2
+
+
+def poly_of(exps):
+    """A new APoly holding the nonzero entries of an exponent dict."""
+    p = APoly()
+    p.terms = {e: c for e, c in exps.items() if c}
+    return p
+
+
+def polys_of(sums):
+    """{key: poly_of(exps)} over a dict of exponent dicts, without the keys
+    whose sum is zero."""
+    return {key: p for key, exps in sums.items() if (p := poly_of(exps))}
 
 
 class APoly:
@@ -88,12 +106,9 @@ class APoly:
             other = APoly.const(other)
         if not isinstance(other, APoly):
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            accumulate(out, e, c)
-        p = APoly()
-        p.terms = out
-        return p
+        exps = dict(self.terms)
+        add_product(exps, other, 1)
+        return poly_of(exps)
 
     __radd__ = __add__
 
@@ -113,24 +128,11 @@ class APoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            if not other:
-                return APoly()
-            p = APoly()
-            p.terms = {e: c * other for e, c in self.terms.items()}
-            return p
-        if not isinstance(other, APoly):
+        if not isinstance(other, (int, APoly)):
             return NotImplemented
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                # Exponents are nonnegative, so the sum of two trimmed tuples
-                # is trimmed: the longer one's last entry survives.
-                accumulate(out, tuple(map(add, e1, e2)) + e1[len(e2):]
-                           + e2[len(e1):], c1 * c2)
-        p = APoly()
-        p.terms = out
-        return p
+        exps = {}
+        add_product(exps, self, other)
+        return poly_of(exps)
 
     __rmul__ = __mul__
 
@@ -213,10 +215,11 @@ class APolyModule:
         if not isinstance(other, type(self)):
             return NotImplemented
         self._check_same(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            accumulate(out, key, c)
-        return self._new(out)
+        sums = {}
+        for terms in (self.terms, other.terms):
+            for key, c in terms.items():
+                add_product(sums.setdefault(key, {}), c, 1)
+        return self._new(polys_of(sums))
 
     def __neg__(self):
         return self._new({key: -c for key, c in self.terms.items()})
@@ -346,7 +349,7 @@ def parse_apoly(text, var="a"):
                 if name + digits != var:
                     raise ValueError(f"unknown symbol {name + digits!r}")
             exps = _trim([sum(power for *_, power in symbols)])
-        accumulate(terms, exps, coeff)
+        terms[exps] = terms.get(exps, 0) + coeff
     return APoly(terms)
 
 

@@ -13,11 +13,12 @@ x_1 > x_2 > ... > x_k.
 """
 
 from functools import lru_cache
+from heapq import heappop, heappush
 from itertools import combinations
 
 from .apoly import (
-    APoly, APolyModule, accumulate, attach_coefficient, iter_poly_terms,
-    join_signed, monomial_factors, term_exponents,
+    APoly, APolyModule, add_product, attach_coefficient, iter_poly_terms,
+    join_signed, monomial_factors, poly_of, polys_of, term_exponents,
 )
 from .partitions import check_partition, compositions
 from .tableaux import kostka
@@ -76,11 +77,12 @@ class XPoly(APolyModule):
         if not isinstance(other, XPoly):
             return super().__mul__(other)
         self._check_same(other)
-        out = {}
+        sums = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                accumulate(out, tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
-        return self._new(out)
+                mono = tuple(a + b for a, b in zip(m1, m2))
+                add_product(sums.setdefault(mono, {}), c1, c2)
+        return self._new(polys_of(sums))
 
     __rmul__ = __mul__
 
@@ -98,11 +100,12 @@ class XPoly(APolyModule):
 
 def parse_xpoly(text, k):
     """Parse polynomial text in x_1..x_k with a_1..a_k coefficients."""
-    terms = {}
+    sums = {}
     for coeff, symbols in iter_poly_terms(text):
         a, x = term_exponents(symbols, "ax", k)
-        accumulate(terms, x + (0,) * (k - len(x)), APoly.monomial(a, coeff))
-    return XPoly(k, terms)
+        exps = sums.setdefault(x + (0,) * (k - len(x)), {})
+        exps[a] = exps.get(a, 0) + coeff
+    return XPoly(k, polys_of(sums))
 
 
 # -- symmetric polynomial generators ----------------------------------------
@@ -157,30 +160,38 @@ def _reduction_tails(k, n):
 
 def normal_form(k, n, p):
     """The unique representative of p modulo the ideal supported on monomials
-    with every exponent alpha_i < n - k + i.  Repeatedly rewrites the deglex
-    leading reducible monomial."""
+    with every exponent alpha_i < n - k + i.  Rewrites the deglex-largest
+    pending (reducible) monomial first: its rewrites are all smaller, so its
+    coefficient is final when it is popped, and a finished (normal) monomial
+    is only ever added to."""
     if p.k != k:
         raise ValueError(f"polynomial has {p.k} variables, context has {k}")
     bounds = tuple(n - k + i for i in range(1, k + 1))
     tails = _reduction_tails(k, n)
-    terms = dict(p.terms)
-    while True:
-        worst = None
-        for mono in terms:
-            for i in range(k):
-                if mono[i] >= bounds[i]:
-                    if worst is None or deglex_key(mono) > deglex_key(worst):
-                        worst = mono
-                    break
-        if worst is None:
-            break
-        c = terms.pop(worst)
-        i = next(j for j in range(k) if worst[j] >= bounds[j])
-        rem = list(worst)
+    pending, finished, heap = {}, {}, []
+
+    def add_term(mono, c, q):
+        i = next((j for j in range(k) if mono[j] >= bounds[j]), None)
+        if i is None:
+            add_product(finished.setdefault(mono, {}), c, q)
+            return
+        if mono not in pending:
+            pending[mono] = {}
+            heappush(heap, (-sum(mono), tuple(-e for e in mono), mono, i))
+        add_product(pending[mono], c, q)
+
+    for mono, c in p.terms.items():
+        add_term(mono, c, 1)
+    while heap:
+        *_, mono, i = heappop(heap)
+        c = poly_of(pending.pop(mono))
+        if not c:
+            continue
+        rem = list(mono)
         rem[i] -= bounds[i]
         for tmono, tc in tails[i].terms.items():
-            accumulate(terms, tuple(r + t for r, t in zip(rem, tmono)), c * tc)
-    return p._new(terms)
+            add_term(tuple(r + t for r, t in zip(rem, tmono)), tc, c)
+    return p._new(polys_of(finished))
 
 
 def monomial_basis(k, n):

@@ -18,11 +18,11 @@ resolved through the alternant straightening of integer vectors.
 
 import os
 from functools import lru_cache, partial
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 from .apoly import (
-    APoly, APolyModule, ZERO, ONE, accumulate, attach_coefficient,
-    join_signed,
+    APoly, APolyModule, ZERO, ONE, add_product, attach_coefficient,
+    join_signed, polys_of,
 )
 from .partitions import (
     check_box, check_in_box, check_partition, complement, enumerate_pkn,
@@ -146,7 +146,7 @@ def _straighten(k, n, mu):
     """Frozen item tuple of the class of s_mu, for mu with at most k parts."""
     if in_box(mu, k, n):
         return ((mu, ONE),)
-    out = {}
+    sums = {}
     mu_p = pad(mu, k)
     for tau in enumerate_v_set(k, n):
         j = -sum(tau) - (n - k)
@@ -156,8 +156,8 @@ def _straighten(k, n, mu):
         sgn, lam = res
         coeff = APoly.gen(j) * (sgn * (-1 if (k - j) % 2 else 1))
         for nu, c in _straighten(k, n, lam):
-            accumulate(out, nu, coeff * c)
-    return tuple(sorted(out.items()))
+            add_product(sums.setdefault(nu, {}), coeff, c)
+    return tuple(sorted(polys_of(sums).items()))
 
 
 def straighten_schur(k, n, mu):
@@ -179,20 +179,10 @@ def straighten_combination(k, n, combination):
     for mu, c in combination.items():
         if not c:
             continue
-        entries, scale = _straighten(k, n, mu), c
-        if isinstance(c, APoly):
-            # multiplied out per entry; an int scales each term in place
-            entries, scale = [(nu, ap * c) for nu, ap in entries], 1
-        for nu, ap in entries:
-            exps = sums.setdefault(nu, {})
-            for e, v in ap.terms.items():
-                exps[e] = exps.get(e, 0) + scale * v
+        for nu, ap in _straighten(k, n, mu):
+            add_product(sums.setdefault(nu, {}), ap, c)
     p = QuotElem(k, n)
-    for nu, exps in sums.items():
-        poly = APoly()
-        poly.terms = {e: v for e, v in exps.items() if v}
-        if poly:
-            p.terms[nu] = poly
+    p.terms = polys_of(sums)
     return p
 
 
@@ -216,13 +206,13 @@ def multiply(f, g):
     """The product of two elements."""
     f._check_same(g)
     k, n = f.k, f.n
-    out = {}
+    sums = {}
     for lam, cf in f.terms.items():
         for mu, cg in g.terms.items():
             c = cf * cg
             for nu, ap in _basis_product(k, n, lam, mu).items():
-                accumulate(out, nu, c * ap)
-    return f._new(out)
+                add_product(sums.setdefault(nu, {}), ap, c)
+    return f._new(polys_of(sums))
 
 
 def structure_constant(k, n, alpha, beta, gamma):
@@ -252,16 +242,16 @@ def pieri_h(k, n, lam, j):
     lam = check_in_box(check_partition(lam), k, n)
     if not 0 <= j <= n - k:
         raise ValueError(f"need 0 <= j <= n-k = {n - k}, got j={j}")
-    out = {}
+    sums = {}
     for mu in horizontal_strip_extensions(lam, j, k, n - k):
-        accumulate(out, mu, APoly.const(1))
+        add_product(sums.setdefault(mu, {}), ONE, 1)
     for i in range(1, k + 1):
         hook = (n - k - j + 1,) + (1,) * (i - 1)
         coeff_i = APoly.gen(i) * (1 if i % 2 else -1)
         for nu, c in skew_schur_expand(lam, hook).items():
-            accumulate(out, nu, coeff_i * c)
+            add_product(sums.setdefault(nu, {}), coeff_i, c)
     p = QuotElem(k, n)
-    p.terms = out
+    p.terms = polys_of(sums)
     return p
 
 
@@ -320,17 +310,10 @@ def _s3_triple(k, n, triple):
     alpha, beta, gamma = triple
     w = omega(k, n)
     comp = _complements(k, n)
-    ab = _basis_product(k, n, alpha, beta)
-    values = [
-        ab.get(comp[gamma], ZERO),
-        _basis_product(k, n, alpha, gamma).get(comp[beta], ZERO),
-        _basis_product(k, n, beta, alpha).get(comp[gamma], ZERO),
-        _basis_product(k, n, beta, gamma).get(comp[alpha], ZERO),
-        _basis_product(k, n, gamma, alpha).get(comp[beta], ZERO),
-        _basis_product(k, n, gamma, beta).get(comp[alpha], ZERO),
-    ]
+    values = [_basis_product(k, n, x, y).get(comp[z], ZERO)
+              for x, y, z in permutations(triple)]
     triple = ZERO
-    for lam, c in ab.items():
+    for lam, c in _basis_product(k, n, alpha, beta).items():
         wc = _basis_product(k, n, lam, gamma).get(w, ZERO)
         if wc:
             triple = triple + c * wc

@@ -11,7 +11,6 @@ polynomial multiplication.
 
 from functools import lru_cache
 
-from .apoly import accumulate
 from .partitions import (
     check_partition, compositions, contains, dominates, entrywise_sum,
     horizontal_strip_restrictions, pad, sorted_concat, straighten_vector,
@@ -206,5 +205,5 @@ def uncancelled_pieri(alpha, m):
         res = straighten_vector(tuple(a + b for a, b in zip(alpha, beta)))
         if res is not None:
             sign, lam = res
-            accumulate(out, lam, sign)
-    return out
+            out[lam] = out.get(lam, 0) + sign
+    return {lam: c for lam, c in out.items() if c}

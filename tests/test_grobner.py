@@ -2,6 +2,7 @@
 reduction system with leading terms x_i^(n-k+i), and classical symmetric
 function identities checked by exact arithmetic."""
 
+import hashlib
 from itertools import permutations
 
 import pytest
@@ -279,6 +280,26 @@ def test_normal_form_examples_2_5():
         "-x1^3*x2 - x1^2*x2^2 - x1*x2^3 - x2^4 + a1"
     x2_5 = XPoly.monomial(2, (0, 5))
     assert normal_form(2, 5, x2_5).render() == "-a1*x1 + a2"
+
+
+def test_heavy_normal_form_is_pinned():
+    text = normal_form(3, 6, parse_xpoly("-7*x1^30*x2^15", 3)).render()
+    assert len(text) == 13740
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "a88f605a32b8e1d9d2da8b7ed924419fac132c0af32b35a1fe9cb2c2bec05ebf"
+
+
+def test_sums_do_not_share_coefficients_with_their_operands():
+    p, q = parse_xpoly("x1 + a1*x2", 2), parse_xpoly("x2", 2)
+    (p + q).terms[(1, 0)].terms[()] = 5
+    (p - q).terms[(1, 0)].terms[()] = 6
+    assert p.render() == "x1 + a1*x2"
+
+
+def test_normal_form_does_not_share_coefficients_with_its_input():
+    p = parse_xpoly("x1 + a1*x2 + x1^3", 2)
+    normal_form(2, 4, p).terms[(1, 0)].terms[()] = 5
+    assert p.render() == "x1^3 + x1 + a1*x2"
 
 
 def test_normal_form_kills_generators():

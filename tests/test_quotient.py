@@ -483,6 +483,14 @@ def test_unit_coefficients_are_not_shared():
     assert pieri_h(2, 4, (1,), 1).render() == "s[1,1] + s[2]"
 
 
+def test_sums_do_not_share_coefficients_with_their_operands():
+    f, g = QuotElem.basis(2, 4, (1,)), QuotElem.basis(2, 4, (2,))
+    (f + g).terms[(1,)].terms[()] = 7
+    (f - g).terms[(1,)].terms[()] = 9
+    assert f.render() == "s[1]"
+    assert g.render() == "s[2]"
+
+
 def test_change_of_basis_zero_cells_are_not_shared():
     zeros = [c for row in bases.change_of_basis_matrix(2, 4, "h")
              for c in row if not c]
