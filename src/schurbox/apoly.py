@@ -201,12 +201,49 @@ class APoly:
 
 
 class APolyModule:
-    """Shared arithmetic of the sparse Z[a]-modules QuotElem and XPoly:
-    ``terms`` maps a basis key to a nonzero APoly coefficient.  Subclasses
-    provide ``_new(terms)``, an element of the same context holding the given
-    terms, and ``_check_same(other)``, which rejects a mixed context."""
+    """An element of a free Z[a]-module, QuotElem or XPoly: ``context`` is
+    the tuple of ints that fixes the module, k first, and ``terms`` maps a
+    basis key to a nonzero APoly coefficient that the element owns.  A
+    subclass's constructor hands its context here with the terms; the
+    subclass provides ``_key(key)``, the checked form of a basis key, and
+    ``render()``."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("context", "terms")
+
+    k = property(lambda self: self.context[0])
+
+    def __init__(self, context, terms=None):
+        self.context, self.terms = context, {}
+        for key, c in (terms or {}).items():
+            key = self._key(key)
+            c = poly_of(c.terms) if isinstance(c, APoly) else APoly.const(c)
+            if c:
+                self.terms[key] = c
+
+    @classmethod
+    def _trusted(cls, context, terms):
+        """An element holding terms as they are: the caller has just built
+        them, with keys already checked and nonzero APoly coefficients that
+        nothing else holds."""
+        p = cls.__new__(cls)
+        p.context, p.terms = context, terms
+        return p
+
+    def _new(self, terms):
+        return self._trusted(self.context, terms)
+
+    def _check_same(self, other):
+        if self.context != other.context:
+            raise ValueError(
+                f"mixed contexts {self.context} and {other.context}")
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.context == other.context and self.terms == other.terms
+
+    def __repr__(self):
+        return self.render()
 
     def __bool__(self):
         return bool(self.terms)

@@ -254,13 +254,12 @@ def classify_family(k, n, family):
     check_context(k, n)
     _expander(family)
     basis, rows = _family_terms(k, n, family)
-    at_zero = [[c.terms.get((), 0) if c else 0 for c in map(row.get, basis)]
-               for row in rows]
-    primes = _first_primes(k)
-    at_primes = [[c.evaluate(primes) if c else 0 for c in map(row.get, basis)]
-                 for row in rows]
-    d0 = _bareiss_det(at_zero)
-    d1 = _bareiss_det(at_primes)
+
+    def det_at(values):
+        return _bareiss_det([[c.evaluate(values) if c else 0
+                              for c in map(row.get, basis)] for row in rows])
+
+    d0, d1 = det_at([0] * k), det_at(_first_primes(k))
     if d0 != d1:
         return ("a-dep", None)
     if d0 == 0:

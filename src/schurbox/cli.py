@@ -97,31 +97,34 @@ def cmd_nf(args):
     return 0
 
 
-def cmd_s3(args):
-    report = s3_report(args.k, args.n, jobs=args.jobs)
-    if args.format == "json":
+def _scan_output(report, fmt, noun, found, line):
+    """Print a scan report as JSON, or as a summary line and one line(item)
+    per item found; exit status 1 when anything was found."""
+    if fmt == "json":
         print(json.dumps(report, default=_jsonable))
     else:
-        print(f"k={report['k']} n={report['n']}: checked {report['triples']} "
-              f"triples, {len(report['counterexamples'])} counterexamples")
-        for ce in report["counterexamples"]:
-            print(f"  alpha={list(ce['alpha'])} beta={list(ce['beta'])} "
-                  f"gamma={list(ce['gamma'])}: {ce['permuted']} "
-                  f"triple={ce['triple_product']}")
+        print(f"k={report['k']} n={report['n']}: checked {report[noun]} "
+              f"{noun}, {len(report[found])} {found}")
+        for item in report[found]:
+            print("  " + line(item))
     return 0 if report["ok"] else 1
+
+
+def cmd_s3(args):
+    return _scan_output(
+        s3_report(args.k, args.n, jobs=args.jobs), args.format,
+        "triples", "counterexamples",
+        lambda ce: f"alpha={list(ce['alpha'])} beta={list(ce['beta'])} "
+                   f"gamma={list(ce['gamma'])}: {ce['permuted']} "
+                   f"triple={ce['triple_product']}")
 
 
 def cmd_positivity(args):
-    report = positivity_scan(args.k, args.n, jobs=args.jobs)
-    if args.format == "json":
-        print(json.dumps(report, default=_jsonable))
-    else:
-        print(f"k={report['k']} n={report['n']}: checked {report['pairs']} "
-              f"pairs, {len(report['violations'])} violations")
-        for v in report["violations"]:
-            print(f"  lam={list(v['lam'])} mu={list(v['mu'])} "
+    return _scan_output(
+        positivity_scan(args.k, args.n, jobs=args.jobs), args.format,
+        "pairs", "violations",
+        lambda v: f"lam={list(v['lam'])} mu={list(v['mu'])} "
                   f"nu={list(v['nu'])}: {v['in_b_variables']}")
-    return 0 if report["ok"] else 1
 
 
 def _cell_text(verdict, detail):

@@ -33,19 +33,16 @@ def deglex_key(mono):
 class XPoly(APolyModule):
     """Sparse polynomial in x_1..x_k with APoly coefficients."""
 
-    __slots__ = ("k",)
+    __slots__ = ()
 
     def __init__(self, k, terms=None):
-        self.k = k
-        self.terms = {}
-        if terms:
-            for mono, c in terms.items():
-                mono = tuple(mono)
-                if len(mono) != k:
-                    raise ValueError(f"monomial {mono} is not length {k}")
-                c = c if isinstance(c, APoly) else APoly.const(c)
-                if c:
-                    self.terms[mono] = c
+        super().__init__((k,), terms)
+
+    def _key(self, mono):
+        mono = tuple(mono)
+        if len(mono) != self.k:
+            raise ValueError(f"monomial {mono} is not length {self.k}")
+        return mono
 
     @classmethod
     def zero(cls, k):
@@ -58,20 +55,6 @@ class XPoly(APolyModule):
     @classmethod
     def const(cls, k, c):
         return cls(k, {(0,) * k: c})
-
-    def _new(self, terms):
-        p = XPoly(self.k)
-        p.terms = terms
-        return p
-
-    def _check_same(self, other):
-        if self.k != other.k:
-            raise ValueError(f"mixed variable counts {self.k} and {other.k}")
-
-    def __eq__(self, other):
-        if not isinstance(other, XPoly):
-            return NotImplemented
-        return self.k == other.k and self.terms == other.terms
 
     def __mul__(self, other):
         if not isinstance(other, XPoly):
@@ -94,9 +77,6 @@ class XPoly(APolyModule):
             attach_coefficient(self.terms[mono], monomial_factors(mono, "x"))
             for mono in sorted(self.terms, key=deglex_key, reverse=True))
 
-    def __repr__(self):
-        return self.render()
-
 
 def parse_xpoly(text, k):
     """Parse polynomial text in x_1..x_k with a_1..a_k coefficients."""
@@ -105,7 +85,7 @@ def parse_xpoly(text, k):
         a, x = term_exponents(symbols, "ax", k)
         exps = sums.setdefault(x + (0,) * (k - len(x)), {})
         exps[a] = exps.get(a, 0) + coeff
-    return XPoly(k, polys_of(sums))
+    return XPoly._trusted((k,), polys_of(sums))
 
 
 # -- symmetric polynomial generators ----------------------------------------
@@ -114,10 +94,8 @@ def h_on_vars(m, k, lo=1):
     """Complete homogeneous h_m(x_lo, ..., x_k) as an XPoly in k variables.
     h_0 = 1; h_m = 0 when m < 0 or the variable range is empty with m > 0."""
     slots = max(k - lo + 1, 0)
-    p = XPoly(k)
-    p.terms = {(0,) * (k - slots) + beta: APoly.const(1)
-               for beta in compositions(m, slots)}
-    return p
+    return XPoly._trusted((k,), {(0,) * (k - slots) + beta: APoly.const(1)
+                                 for beta in compositions(m, slots)})
 
 
 def e_on_vars(t, k, hi=None):
@@ -125,11 +103,10 @@ def e_on_vars(t, k, hi=None):
     e_t = 0 for t < 0 or t > hi."""
     if hi is None:
         hi = k
-    p = XPoly(k)
-    if t >= 0:
-        p.terms = {tuple(int(i in subset) for i in range(k)): APoly.const(1)
-                   for subset in combinations(range(hi), t)}
-    return p
+    subsets = combinations(range(hi), t) if t >= 0 else ()
+    return XPoly._trusted((k,), {
+        tuple(int(i in subset) for i in range(k)): APoly.const(1)
+        for subset in subsets})
 
 
 def groebner_generators(k, n):
@@ -208,10 +185,9 @@ def monomial_basis(k, n):
 def schur_xpoly(lam, k):
     """The Schur polynomial s_lam(x_1, ..., x_k).  Zero when lam has more
     than k rows.  A new XPoly that the caller owns."""
-    p = XPoly(k)
-    p.terms = {m: APoly.const(c)
-               for m, c in _schur_monomials(check_partition(lam), k)}
-    return p
+    return XPoly._trusted((k,), {
+        m: APoly.const(c)
+        for m, c in _schur_monomials(check_partition(lam), k)})
 
 
 @lru_cache(maxsize=None)

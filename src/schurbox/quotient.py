@@ -49,18 +49,15 @@ class QuotElem(APolyModule):
     """An element sum_lam c_lam s[lam] with c_lam in Z[a_1..a_k] and every
     lam inside the k x (n-k) box."""
 
-    __slots__ = ("k", "n")
+    __slots__ = ()
 
     def __init__(self, k, n, terms=None):
-        check_context(k, n)
-        self.k, self.n = k, n
-        self.terms = {}
-        if terms:
-            for lam, c in terms.items():
-                lam = check_in_box(check_partition(lam), k, n)
-                c = c if isinstance(c, APoly) else APoly.const(c)
-                if c:
-                    self.terms[lam] = c
+        super().__init__(check_context(k, n), terms)
+
+    n = property(lambda self: self.context[1])
+
+    def _key(self, lam):
+        return check_in_box(check_partition(lam), *self.context)
 
     @classmethod
     def basis(cls, k, n, lam):
@@ -74,22 +71,6 @@ class QuotElem(APolyModule):
     def one(cls, k, n):
         return cls(k, n, {(): 1})
 
-    def _new(self, terms):
-        p = QuotElem(self.k, self.n)
-        p.terms = terms
-        return p
-
-    def _check_same(self, other):
-        if (self.k, self.n) != (other.k, other.n):
-            raise ValueError(
-                f"mixed contexts ({self.k},{self.n}) and ({other.k},{other.n})")
-
-    def __eq__(self, other):
-        if not isinstance(other, QuotElem):
-            return NotImplemented
-        return (self.k, self.n) == (other.k, other.n) and \
-            self.terms == other.terms
-
     def __mul__(self, other):
         if isinstance(other, QuotElem):
             return multiply(self, other)
@@ -100,13 +81,12 @@ class QuotElem(APolyModule):
     def coeff(self, mu):
         """The coefficient of s[mu] (mu must fit in the box), as a new APoly
         that the caller owns."""
-        mu = check_in_box(check_partition(mu), self.k, self.n)
-        return APoly(self.terms.get(mu, ZERO).terms)
+        return APoly(self.terms.get(self._key(mu), ZERO).terms)
 
     def render(self):
         """Text form, largest basis element first:
         '-a2*s[3,1,1] + a1^2*s[1,1] - a1*a2*s[1] + a1*a3*s[]'."""
-        return render_terms(self.terms, self.k, self.n)
+        return render_terms(self.terms, *self.context)
 
     def payload(self, terms=None, var="a", spec=None):
         """JSON-ready dict of this element, or of the given coefficients
@@ -121,14 +101,10 @@ class QuotElem(APolyModule):
             for lam in canonical_order(terms, self.k, self.n)]
         return out
 
-    def __repr__(self):
-        return self.render()
-
 
 def canonical_order(lams, k, n):
-    """The box partitions lams, sorted in the canonical enumeration order."""
-    index = {lam: i for i, lam in enumerate(enumerate_pkn(k, n))}
-    return sorted(lams, key=index.__getitem__)
+    """The box partitions in lams, in the canonical enumeration order."""
+    return [lam for lam in enumerate_pkn(k, n) if lam in lams]
 
 
 def render_terms(terms, k, n, var="a"):
@@ -181,9 +157,7 @@ def straighten_combination(k, n, combination):
             continue
         for nu, ap in _straighten(k, n, mu):
             add_product(sums.setdefault(nu, {}), ap, c)
-    p = QuotElem(k, n)
-    p.terms = polys_of(sums)
-    return p
+    return QuotElem._trusted(check_context(k, n), polys_of(sums))
 
 
 # -- multiplication ----------------------------------------------------------
@@ -205,7 +179,7 @@ _basis_product = lru_cache(maxsize=None)(_build_product)
 def multiply(f, g):
     """The product of two elements."""
     f._check_same(g)
-    k, n = f.k, f.n
+    k, n = f.context
     sums = {}
     for lam, cf in f.terms.items():
         for mu, cg in g.terms.items():
@@ -250,9 +224,7 @@ def pieri_h(k, n, lam, j):
         coeff_i = APoly.gen(i) * (1 if i % 2 else -1)
         for nu, c in skew_schur_expand(lam, hook).items():
             add_product(sums.setdefault(nu, {}), coeff_i, c)
-    p = QuotElem(k, n)
-    p.terms = polys_of(sums)
-    return p
+    return QuotElem._trusted((k, n), polys_of(sums))
 
 
 def reduce_h_overflow(k, n, m):
@@ -286,17 +258,7 @@ def s3_report(k, n, jobs=1):
     triple {alpha, beta, gamma} of box partitions, the six permuted values
     g(., ., .) agree with each other and with the coefficient of s[omega] in
     the triple product s[alpha] s[beta] s[gamma].  Returns a report dict."""
-    check_context(k, n)
-    basis = enumerate_pkn(k, n)
-    triples = list(combinations_with_replacement(basis, 3))
-    results = _parallel_map(partial(_s3_triple, k, n), triples, jobs)
-    counterexamples = [r for r in results if r is not None]
-    return {
-        "k": k, "n": n,
-        "triples": len(triples),
-        "ok": not counterexamples,
-        "counterexamples": counterexamples,
-    }
+    return _scan(k, n, jobs, 3, _s3_triple, "triples", "counterexamples")
 
 
 @lru_cache(maxsize=None)
@@ -317,13 +279,15 @@ def _s3_triple(k, n, triple):
         wc = _basis_product(k, n, lam, gamma).get(w, ZERO)
         if wc:
             triple = triple + c * wc
+    # A tuple: the empty one is a single shared object, so the scan's list
+    # of one result per triple stays as small as a list of None.
     if all(v == values[0] for v in values[1:]) and triple == values[0]:
-        return None
-    return {
+        return ()
+    return ({
         "alpha": alpha, "beta": beta, "gamma": gamma,
         "permuted": [v.render() for v in values],
         "triple_product": triple.render(),
-    }
+    },)
 
 
 def positivity_scan(k, n, jobs=1):
@@ -331,17 +295,18 @@ def positivity_scan(k, n, jobs=1):
     pattern: (-1)^{|lam|+|mu|-|nu|} coeff_nu(s[lam] s[mu]), rewritten in the
     variables b_i = (-1)^{n-k-1} a_i, must have nonnegative coefficients.
     Returns a report dict listing violations (expected none)."""
+    return _scan(k, n, jobs, 2, _positivity_pair, "pairs", "violations")
+
+
+def _scan(k, n, jobs, arity, check, noun, found):
+    """Run check(k, n, item), which returns a sequence of what it found, on
+    every multiset of arity box partitions; the report is {"k", "n", noun:
+    how many items were checked, "ok", found: everything found}."""
     check_context(k, n)
-    basis = enumerate_pkn(k, n)
-    pairs = list(combinations_with_replacement(basis, 2))
-    chunks = _parallel_map(partial(_positivity_pair, k, n), pairs, jobs)
-    violations = [v for chunk in chunks for v in chunk]
-    return {
-        "k": k, "n": n,
-        "pairs": len(pairs),
-        "ok": not violations,
-        "violations": violations,
-    }
+    items = list(combinations_with_replacement(enumerate_pkn(k, n), arity))
+    chunks = _parallel_map(partial(check, k, n), items, jobs)
+    bad = [x for chunk in chunks for x in chunk]
+    return {"k": k, "n": n, noun: len(items), "ok": not bad, found: bad}
 
 
 def _positivity_pair(k, n, pair):
@@ -361,7 +326,7 @@ def _positivity_pair(k, n, pair):
             if flip:
                 poly = poly.flip_by_degree_parity()
             bad.append({"lam": lam, "mu": mu, "nu": nu,
-                        "in_b_variables": poly.render().replace("a", "b")})
+                        "in_b_variables": poly.render("b")})
     return bad
 
 

@@ -274,6 +274,21 @@ def test_generators_are_owned_by_the_caller():
         "-x1^2*x2 - x1*x2^2 - x2^3 + a1"
 
 
+def test_constructor_copies_the_coefficients_it_is_given():
+    c = APoly.gen(1)
+    p = XPoly(2, {(1, 0): c})
+    c.terms[(2,)] = 1
+    assert p.render() == "a1*x1"
+
+
+def test_mixed_variable_counts_rejected():
+    p, q = XPoly.monomial(2, (1, 0)), XPoly.monomial(3, (0, 1, 0))
+    with pytest.raises(ValueError):
+        p + q
+    with pytest.raises(ValueError):
+        p * q
+
+
 def test_normal_form_examples_2_5():
     x1_4 = XPoly.monomial(2, (4, 0))
     assert normal_form(2, 5, x1_4).render() == \

@@ -446,6 +446,13 @@ def test_results_do_not_alias_the_caches():
     assert straighten_schur(k, n, (4, 1)).terms == wide
 
 
+def test_constructor_copies_the_coefficients_it_is_given():
+    c = APoly.gen(1)
+    f = QuotElem(2, 4, {(1,): c})
+    c.terms[(1,)] = 5
+    assert f.render() == "a1*s[1]"
+
+
 def test_straighten_coefficients_are_not_the_cached_ones():
     straighten_schur(2, 4, (3,)).terms[()].terms[(9,)] = 1
     assert straighten_schur(2, 4, (3,)).render() == "a1*s[]"
