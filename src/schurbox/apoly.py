@@ -415,7 +415,7 @@ def parse_specialization(text, k):
         return classical_specialization(k)
     if text == "quantum":
         return quantum_specialization(k)
-    vals = [APoly() for _ in range(k)]
+    vals = {}
     for piece in text.split(","):
         piece = piece.strip()
         if not piece:
@@ -429,5 +429,7 @@ def parse_specialization(text, k):
         i = int(m.group(1))
         if not 1 <= i <= k:
             raise ValueError(f"a{i} out of range for k={k}")
-        vals[i - 1] = parse_apoly(rhs, var="q")
-    return vals
+        if i in vals:
+            raise ValueError(f"a{i} assigned twice")
+        vals[i] = parse_apoly(rhs, var="q")
+    return [vals[i] if i in vals else APoly() for i in range(1, k + 1)]

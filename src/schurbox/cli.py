@@ -51,7 +51,7 @@ def _elem_output(elem, spec_text, fmt):
         var = "q"
     if fmt == "json":
         return json.dumps(elem.payload(terms, var, spec_text))
-    return render_terms(terms, elem.k, elem.n, var)
+    return render_terms(terms, var)
 
 
 def cmd_straighten(args):

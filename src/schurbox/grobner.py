@@ -20,7 +20,7 @@ from .apoly import (
     APoly, APolyModule, add_product, attach_coefficient, iter_poly_terms,
     join_signed, monomial_factors, poly_of, polys_of, term_exponents,
 )
-from .partitions import check_partition, compositions
+from .partitions import check_context, check_partition, compositions
 from .tableaux import kostka
 
 
@@ -112,8 +112,7 @@ def e_on_vars(t, k, hi=None):
 def groebner_generators(k, n):
     """The Groebner basis (b_1, ..., b_k) of the defining ideal, deglex
     leading terms x_i^{n-k+i}; new XPolys that the caller owns."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    check_context(k, n)
     gens = []
     for i in range(1, k + 1):
         b = h_on_vars(n - k + i, k, lo=i)
@@ -174,8 +173,7 @@ def normal_form(k, n, p):
 def monomial_basis(k, n):
     """All monomials x^alpha with alpha_i < n - k + i, in ascending deglex
     order; a Z[a]-module basis of the quotient, of size n(n-1)...(n-k+1)."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    check_context(k, n)
     monos = [()]
     for i in range(1, k + 1):
         monos = [m + (e,) for m in monos for e in range(n - k + i)]

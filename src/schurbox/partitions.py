@@ -7,8 +7,7 @@ with at most k parts, each part at most n-k, i.e. those fitting in a k-row,
 implemented in :mod:`schurbox.quotient`.
 """
 
-from functools import lru_cache
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations
 from math import comb
 
 # Four-valued outcome of the partial-order comparisons.
@@ -63,6 +62,14 @@ def check_box(k, n):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
 
 
+def check_context(k, n):
+    """Validate a quotient context: integers with 1 <= k <= n."""
+    check_box(k, n)
+    if k == 0:
+        raise ValueError("quotient contexts need k >= 1")
+    return k, n
+
+
 def bounded_partitions(d, hi, lo=()):
     """Yield the partitions mu of d with lo_i <= mu_i <= hi_i in every row i
     (rows past the end of hi or lo are bounded by 0), in lexicographically
@@ -95,7 +102,6 @@ def partitions_in_rect(d, max_len, max_part):
     return bounded_partitions(d, (max_part,) * max_len)
 
 
-@lru_cache(maxsize=None)
 def enumerate_pkn(k, n):
     """All partitions in the k x (n-k) box, graded by size and lexicographically
     descending within each size.  This is the canonical enumeration order used
@@ -228,16 +234,6 @@ def compositions(m, slots):
     ends = m + slots - 1
     for bars in combinations(range(ends), slots - 1):
         yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (ends,)))
-
-
-@lru_cache(maxsize=None)
-def enumerate_v_set(k, n):
-    """The 2^(k-1) vectors (-n, t_2, ..., t_k) with t_i in {0, 1} that drive
-    the rim-hook straightening step; -|tau| ranges over n-k+1, ..., n."""
-    check_box(k, n)
-    if k == 0:
-        raise ValueError("the straightening vector set needs k >= 1")
-    return tuple((-n,) + tail for tail in product((0, 1), repeat=k - 1))
 
 
 def horizontal_strip_extensions(lam, j, k, max_part):

@@ -13,7 +13,8 @@ partition mu with at most k parts, computed by the rim-hook recursion
             sum_{tau in V, -|tau| = n-k+j} s[mu + tau]          (mu_1 > n-k)
 
 over the vector set V = {(-n, t_2, ..., t_k) : t_i in {0,1}}, each summand
-resolved through the alternant straightening of integer vectors.
+resolved through the alternant straightening of integer vectors; only the
+vectors of V whose summand can be nonzero are listed.
 """
 
 import os
@@ -25,19 +26,10 @@ from .apoly import (
     join_signed, polys_of,
 )
 from .partitions import (
-    check_box, check_in_box, check_partition, complement, enumerate_pkn,
-    enumerate_v_set, horizontal_strip_extensions, in_box, pad, size,
-    straighten_vector,
+    check_context, check_in_box, check_partition, complement, enumerate_pkn,
+    horizontal_strip_extensions, in_box, pad, size, straighten_vector,
 )
 from .tableaux import schur_product_expand, skew_schur_expand
-
-
-def check_context(k, n):
-    """Validate a quotient context: integers with 1 <= k <= n."""
-    check_box(k, n)
-    if k == 0:
-        raise ValueError("quotient contexts need k >= 1")
-    return k, n
 
 
 def omega(k, n):
@@ -86,7 +78,7 @@ class QuotElem(APolyModule):
     def render(self):
         """Text form, largest basis element first:
         '-a2*s[3,1,1] + a1^2*s[1,1] - a1*a2*s[1] + a1*a3*s[]'."""
-        return render_terms(self.terms, *self.context)
+        return render_terms(self.terms)
 
     def payload(self, terms=None, var="a", spec=None):
         """JSON-ready dict of this element, or of the given coefficients
@@ -98,33 +90,42 @@ class QuotElem(APolyModule):
             out["spec"] = spec
         out["terms"] = [
             {"partition": list(lam), "coeff": terms[lam].render(var)}
-            for lam in canonical_order(terms, self.k, self.n)]
+            for lam in canonical_order(terms)]
         return out
 
 
-def canonical_order(lams, k, n):
-    """The box partitions in lams, in the canonical enumeration order."""
-    return [lam for lam in enumerate_pkn(k, n) if lam in lams]
+def canonical_order(lams):
+    """lams sorted as enumerate_pkn orders a box: by size, then descending."""
+    return sorted(lams, key=lambda lam: (size(lam), tuple(-p for p in lam)))
 
 
-def render_terms(terms, k, n, var="a"):
+def render_terms(terms, var="a"):
     """Shared text renderer for basis-indexed term dicts (APoly or
     q-polynomial coefficients), largest basis element first."""
     return join_signed(
         attach_coefficient(terms[lam], [f"s[{','.join(map(str, lam))}]"], var)
-        for lam in reversed(canonical_order(terms, k, n)))
+        for lam in reversed(canonical_order(terms)))
 
 
 # -- straightening -----------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def _straighten(k, n, mu):
-    """Frozen item tuple of the class of s_mu, for mu with at most k parts."""
+    """Frozen item tuple of the class of s_mu, for mu with at most k parts.
+    Entries 2 <= i < l <= k of beta = mu + tau + (k-1, ..., 0) differ by
+    mu_i - mu_l + l - i + t_i - t_l, which is 0 only when l = i+1,
+    mu_i = mu_l, t_i = 0 and t_l = 1; so tau is built entry by entry
+    without that choice, whose alternant vanishes.  A collision with the
+    first entry is left to straighten_vector."""
     if in_box(mu, k, n):
         return ((mu, ONE),)
     sums = {}
     mu_p = pad(mu, k)
-    for tau in enumerate_v_set(k, n):
+    vectors = [(-n,)]
+    for i in range(1, k):
+        vectors = [tau + (t,) for tau in vectors for t in (0, 1)
+                   if not (t and tau[-1] == 0 and mu_p[i - 1] == mu_p[i])]
+    for tau in vectors:
         j = -sum(tau) - (n - k)
         res = straighten_vector(tuple(m + t for m, t in zip(mu_p, tau)))
         if res is None:

@@ -220,6 +220,8 @@ def test_parse_specialization():
         parse_specialization("a3=1", 2)
     with pytest.raises(ValueError):
         parse_specialization("b1=1", 2)
+    with pytest.raises(ValueError, match="a1 assigned twice"):
+        parse_specialization("a1=q,a1=2", 2)
 
 
 def test_flip_by_degree_parity():

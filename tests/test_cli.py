@@ -2,10 +2,11 @@
 
 import json
 import os
+import time
 
 import pytest
 
-from schurbox import cli
+from schurbox import cli, clear_caches
 from schurbox.cli import main, parse_partition_arg
 from schurbox.quotient import worker_count
 
@@ -50,6 +51,24 @@ def test_straighten_json(capsys):
         [[], [1], [1, 1], [3, 1, 1]]
     assert {t["coeff"] for t in payload["terms"]} == \
         {"a1*a3", "-a1*a2", "a1^2", "-a2"}
+
+
+# Each answer has one or two terms, so its cost must not follow the box
+# (C(n, k) partitions) or the 2^(k-1) rim-hook vectors.
+@pytest.mark.parametrize("argv, want", [
+    (("straighten", "--k", "16", "--n", "17", "--mu", "[2]"), "a1*s[]"),
+    (("straighten", "--k", "8", "--n", "28", "--mu", "[1]"), "s[1]"),
+    (("straighten", "--k", "1500", "--n", "1501", "--mu", "[1]"), "s[1]"),
+    (("multiply", "--k", "300", "--n", "301", "--lambda", "[1]",
+      "--mu", "[1]"), "s[1,1] + a1*s[]"),
+])
+def test_small_answers_in_large_contexts_are_fast(capsys, argv, want):
+    clear_caches()
+    start = time.perf_counter()
+    rc, out, _ = run(capsys, *argv)
+    elapsed = time.perf_counter() - start
+    assert (rc, out) == (0, want + "\n")
+    assert elapsed < 2, elapsed
 
 
 def test_straighten_too_many_parts_is_usage_error(capsys):
@@ -240,6 +259,19 @@ def test_worker_count_follows_cpu_affinity(monkeypatch):
     assert worker_count(4, 100) == 4
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert worker_count(4, 100) == 1
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("a1=q,a1=2", "a1 assigned twice"),
+    ("a2=1, a02=q", "a2 assigned twice"),
+    ("a3=1", "a3 out of range for k=2"),
+    ("b1=1", "bad assignment target 'b1'"),
+])
+def test_bad_specialization_is_usage_error(capsys, spec, message):
+    rc, out, err = run(capsys, "straighten", "--k", "2", "--n", "4",
+                       "--mu", "[3,1]", "--spec", spec)
+    assert rc == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 # -- basis-table --------------------------------------------------------------------

@@ -10,7 +10,7 @@ from schurbox.partitions import (
     EQUAL, GREATER, INCOMPARABLE, LESS,
     bounded_partitions, check_in_box, check_partition, cmp_graded_dominance,
     cmp_size_antidominance, complement, compositions, conjugate, contains,
-    dominates, entrywise_sum, enumerate_pkn, enumerate_v_set,
+    dominates, entrywise_sum, enumerate_pkn,
     horizontal_strip_extensions, horizontal_strip_restrictions, in_box,
     pad, partitions_in_rect, size, sorted_concat, straighten_vector,
     subpartitions_of_size,
@@ -343,25 +343,6 @@ def test_straighten_vector_sign_matches_the_alternant(alpha):
     want = alternant(sorted(beta, reverse=True))
     assert want != 0
     assert alternant(beta) == sign * want
-
-
-# -- the rim-hook vector set ---------------------------------------------------
-
-def test_v_set_example():
-    assert set(enumerate_v_set(3, 6)) == {(-6, 0, 0), (-6, 0, 1),
-                                          (-6, 1, 0), (-6, 1, 1)}
-
-
-@given(boxes())
-def test_v_set_shape(kn):
-    k, n = kn
-    v = enumerate_v_set(k, n)
-    assert len(v) == 2 ** (k - 1)
-    assert len(set(v)) == len(v)
-    for tau in v:
-        assert tau[0] == -n
-        assert all(t in (0, 1) for t in tau[1:])
-        assert n - k + 1 <= -sum(tau) <= n
 
 
 # -- misc helpers ---------------------------------------------------------------

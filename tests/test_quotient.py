@@ -5,12 +5,15 @@ symmetry/positivity scans.  Cross-checked against the x-variable reduction
 system wherever both routes exist."""
 
 import json
+import random
+from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from schurbox import (
-    bases, clear_caches, grobner, partitions, quotient, tableaux,
+    bases, clear_caches, grobner, quotient, tableaux,
 )
 from schurbox.apoly import (
     APoly, classical_specialization, parse_specialization,
@@ -18,11 +21,15 @@ from schurbox.apoly import (
 )
 from schurbox.cli import main
 from schurbox.grobner import h_on_vars, normal_form, schur_xpoly
-from schurbox.partitions import complement, enumerate_pkn, size
+from schurbox.partitions import (
+    complement, enumerate_pkn, pad, partitions_in_rect, size,
+    straighten_vector,
+)
 from schurbox.quotient import (
-    QuotElem, _basis_product, check_context, multiply, omega, pieri_h,
-    positivity_scan, reduce_h_overflow, s3_report, specialize_elem,
-    straighten_combination, straighten_schur, structure_constant,
+    QuotElem, _basis_product, canonical_order, check_context, multiply,
+    omega, pieri_h, positivity_scan, reduce_h_overflow, s3_report,
+    specialize_elem, straighten_combination, straighten_schur,
+    structure_constant,
 )
 from schurbox.tableaux import lr_coefficient
 from test_apoly import const_value
@@ -101,6 +108,60 @@ def test_straighten_classical_limit_can_vanish():
     # every term of the (5,4,1) expansion carries an a-factor
     s = straighten_schur(3, 6, (5, 4, 1))
     assert specialize_elem(s, classical_specialization(3)) == {}
+
+
+def _full_walk(k, n, mu):
+    """The nonvanishing terms (|mu + tau|, sign, lam) of one rim-hook step
+    over all 2^(k-1) vectors tau = (-n, t_2, ..., t_k); |mu + tau| fixes
+    the a_j of the term."""
+    mu_p = pad(mu, k)
+    terms = Counter()
+    for tail in product((0, 1), repeat=k - 1):
+        alpha = tuple(m + t for m, t in zip(mu_p, (-n,) + tail))
+        res = straighten_vector(alpha)
+        if res is not None:
+            terms[(sum(alpha),) + res] += 1
+    return terms
+
+
+def test_surviving_rim_hooks_match_the_full_walk(monkeypatch):
+    """One step of _straighten, with the recursion stubbed out, resolves
+    exactly the nonvanishing terms of the full vector walk, on every shape
+    with k <= 5, n-k <= 3 and n-k < mu_1 <= 3(n-k)."""
+    step = quotient._straighten.__wrapped__
+    seen = Counter()
+
+    def recording(alpha):
+        res = straighten_vector(alpha)
+        if res is not None:
+            seen[(sum(alpha),) + res] += 1
+        return res
+
+    monkeypatch.setattr(quotient, "straighten_vector", recording)
+    monkeypatch.setattr(quotient, "_straighten",
+                        lambda k, n, lam: ((lam, APoly.const(1)),))
+    shapes = 0
+    for k in range(1, 6):
+        for n in range(k + 1, k + 4):
+            for d in range(n - k + 1, 3 * (n - k) * k + 1):
+                for mu in partitions_in_rect(d, k, 3 * (n - k)):
+                    if mu[0] <= n - k:
+                        continue
+                    seen.clear()
+                    step(k, n, mu)
+                    assert seen == _full_walk(k, n, mu), (k, n, mu)
+                    shapes += 1
+    assert shapes == 3718
+
+
+def test_canonical_order_is_the_box_enumeration():
+    rng = random.Random(11)
+    for n in range(12):
+        for k in range(n + 1):
+            box = enumerate_pkn(k, n)
+            shuffled = list(box)
+            rng.shuffle(shuffled)
+            assert canonical_order(shuffled) == list(box), (k, n)
 
 
 def test_straighten_degree_homogeneous():
@@ -222,7 +283,6 @@ def test_schur_vanishing_above_the_box():
     # at most k parts and lam_1 <= 2(n-k), except lam = omega itself
     for k, n in ((2, 4), (2, 5), (3, 5), (3, 6)):
         w = omega(k, n)
-        from schurbox.partitions import partitions_in_rect
         for d in range(0, 2 * (n - k) * k + 1):
             for lam in partitions_in_rect(d, k, 2 * (n - k)):
                 c = straighten_schur(k, n, lam).coeff(w)
@@ -236,8 +296,7 @@ def test_h_monomial_vanishing():
     for k, n in ((2, 4), (2, 5), (3, 5)):
         w = omega(k, n)
         ranges = [range(0, 2 * n - k - i + 1) for i in range(1, k + 1)]
-        from itertools import product as iproduct
-        for gamma in iproduct(*ranges):
+        for gamma in product(*ranges):
             f = QuotElem.one(k, n)
             for g in gamma:
                 f = multiply(f, straighten_schur(k, n, (g,)))
@@ -522,10 +581,8 @@ def test_straighten_combination_drops_cancelled_terms():
 def test_clear_caches_empties_every_cache():
     caches = (quotient._basis_product, quotient._straighten,
               quotient._complements, tableaux.lr_coefficient,
-              tableaux.kostka, partitions.enumerate_pkn,
-              partitions.enumerate_v_set, grobner._reduction_tails,
-              grobner._schur_monomials,
-              bases._kostka_inverse)
+              tableaux.kostka, grobner._reduction_tails,
+              grobner._schur_monomials, bases._kostka_inverse)
 
     def results():
         return (s3_report(2, 5), positivity_scan(2, 5),
