@@ -275,8 +275,8 @@ def basis_table(family, n_max, jobs=1):
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
     cells = [(k, n) for n in range(2, n_max + 1) for k in range(1, n)]
-    results = _parallel_map(_classify_cell,
-                            [(k, n, family) for (k, n) in cells], jobs)
+    results = _parallel_map(_classify_cell, [c + (family,) for c in cells],
+                            len(cells), jobs)
     return dict(zip(cells, results))
 
 

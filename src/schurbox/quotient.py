@@ -18,8 +18,10 @@ vectors of V whose summand can be nonzero are listed.
 """
 
 import os
+from collections import Counter
 from functools import lru_cache, partial
-from itertools import combinations_with_replacement, permutations
+from itertools import chain, combinations_with_replacement, permutations
+from math import comb
 
 from .apoly import (
     APoly, APolyModule, ZERO, ONE, add_product, attach_coefficient,
@@ -114,17 +116,17 @@ def _straighten(k, n, mu):
     """Frozen item tuple of the class of s_mu, for mu with at most k parts.
     Entries 2 <= i < l <= k of beta = mu + tau + (k-1, ..., 0) differ by
     mu_i - mu_l + l - i + t_i - t_l, which is 0 only when l = i+1,
-    mu_i = mu_l, t_i = 0 and t_l = 1; so tau is built entry by entry
-    without that choice, whose alternant vanishes.  A collision with the
-    first entry is left to straighten_vector."""
+    mu_i = mu_l, t_i = 0 and t_l = 1, where the alternant vanishes; so a
+    run of r equal parts in mu_2..mu_k takes the tails 1^a 0^(r-a).  A
+    collision with the first entry is left to straighten_vector."""
     if in_box(mu, k, n):
         return ((mu, ONE),)
     sums = {}
     mu_p = pad(mu, k)
     vectors = [(-n,)]
-    for i in range(1, k):
-        vectors = [tau + (t,) for tau in vectors for t in (0, 1)
-                   if not (t and tau[-1] == 0 and mu_p[i - 1] == mu_p[i])]
+    for r in Counter(mu_p[1:]).values():
+        vectors = [tau + (1,) * a + (0,) * (r - a)
+                   for tau in vectors for a in range(r + 1)]
     for tau in vectors:
         j = -sum(tau) - (n - k)
         res = straighten_vector(tuple(m + t for m, t in zip(mu_p, tau)))
@@ -280,15 +282,13 @@ def _s3_triple(k, n, triple):
         wc = _basis_product(k, n, lam, gamma).get(w, ZERO)
         if wc:
             triple = triple + c * wc
-    # A tuple: the empty one is a single shared object, so the scan's list
-    # of one result per triple stays as small as a list of None.
     if all(v == values[0] for v in values[1:]) and triple == values[0]:
-        return ()
-    return ({
+        return []
+    return [{
         "alpha": alpha, "beta": beta, "gamma": gamma,
         "permuted": [v.render() for v in values],
         "triple_product": triple.render(),
-    },)
+    }]
 
 
 def positivity_scan(k, n, jobs=1):
@@ -300,14 +300,15 @@ def positivity_scan(k, n, jobs=1):
 
 
 def _scan(k, n, jobs, arity, check, noun, found):
-    """Run check(k, n, item), which returns a sequence of what it found, on
-    every multiset of arity box partitions; the report is {"k", "n", noun:
-    how many items were checked, "ok", found: everything found}."""
-    check_context(k, n)
-    items = list(combinations_with_replacement(enumerate_pkn(k, n), arity))
-    chunks = _parallel_map(partial(check, k, n), items, jobs)
-    bad = [x for chunk in chunks for x in chunk]
-    return {"k": k, "n": n, noun: len(items), "ok": not bad, found: bad}
+    """Run check(k, n, item), which returns a list of its findings, on
+    every multiset of arity box partitions, drawn lazily, and keep only the
+    findings: the report is {"k", "n", noun: item count, "ok", found}."""
+    box = enumerate_pkn(*check_context(k, n))
+    count = comb(len(box) + arity - 1, arity)
+    bad = list(chain.from_iterable(_parallel_map(
+        partial(check, k, n), combinations_with_replacement(box, arity),
+        count, jobs)))
+    return {"k": k, "n": n, noun: count, "ok": not bad, found: bad}
 
 
 def _positivity_pair(k, n, pair):
@@ -344,13 +345,12 @@ def worker_count(jobs, n_items):
     return max(1, min(jobs, cpus, n_items))
 
 
-def _parallel_map(fn, items, jobs):
-    """[fn(x) for x in items], spread over worker_count(jobs, len(items))
-    processes when that is more than one."""
-    workers = worker_count(jobs, len(items))
-    if workers == 1:
-        return [fn(x) for x in items]
+def _parallel_map(fn, items, count, jobs):
+    """Yield fn(x) for the count items x in order: lazily in this process,
+    or over worker_count(jobs, count) processes when that is more than one."""
+    if (workers := worker_count(jobs, count)) == 1:
+        yield from map(fn, items)
+        return
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items,
-                           chunksize=max(1, len(items) // (workers * 4))))
+        yield from ex.map(fn, items, chunksize=max(1, count // (workers * 4)))

@@ -61,6 +61,8 @@ def test_straighten_json(capsys):
     (("straighten", "--k", "1500", "--n", "1501", "--mu", "[1]"), "s[1]"),
     (("multiply", "--k", "300", "--n", "301", "--lambda", "[1]",
       "--mu", "[1]"), "s[1,1] + a1*s[]"),
+    (("multiply", "--k", "1100", "--n", "1101", "--lambda", "[1]",
+      "--mu", "[1]"), "s[1,1] + a1*s[]"),
 ])
 def test_small_answers_in_large_contexts_are_fast(capsys, argv, want):
     clear_caches()

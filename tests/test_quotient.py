@@ -380,6 +380,28 @@ def test_scan_counts():
     assert positivity_scan(2, 4)["pairs"] == 21
 
 
+def test_scan_draws_its_items_lazily(monkeypatch):
+    """The first pair is checked after one draw, not after all 21."""
+    want = positivity_scan(2, 4)
+    draw = quotient.combinations_with_replacement
+    check = quotient._positivity_pair
+    drawn, drawn_at_check = [], []
+
+    def counting(*args):
+        for item in draw(*args):
+            drawn.append(item)
+            yield item
+
+    def recording(k, n, pair):
+        drawn_at_check.append(len(drawn))
+        return check(k, n, pair)
+
+    monkeypatch.setattr(quotient, "combinations_with_replacement", counting)
+    monkeypatch.setattr(quotient, "_positivity_pair", recording)
+    assert positivity_scan(2, 4) == want
+    assert drawn_at_check == list(range(1, 22))
+
+
 @pytest.mark.parametrize("k, n", [(2, 5), (3, 6)])
 def test_parallel_scans_equal_serial(k, n):
     assert s3_report(k, n, jobs=2) == s3_report(k, n)
