@@ -71,34 +71,37 @@ def check_context(k, n):
 
 
 def bounded_partitions(d, hi, lo=()):
-    """Yield the partitions mu of d with lo_i <= mu_i <= hi_i in every row i
-    (rows past the end of hi or lo are bounded by 0), in lexicographically
-    descending order.  The row capacity left below each row is pruned in O(1)
-    from suffix sums of hi and lo, and a branch ends at its first zero part."""
+    """The list of partitions mu of d with lo_i <= mu_i <= hi_i in every row
+    i (rows past the end of hi or lo are bounded by 0), in lexicographically
+    descending order.  Grown one row per pass as (prefix, remaining) pairs;
+    the row capacity left below each row is pruned in O(1) from suffix sums
+    of hi and lo, and a prefix is complete at its first zero part."""
     rows = max(len(hi), len(lo))
     hi = tuple(hi) + (0,) * (rows - len(hi))
     lo = tuple(lo) + (0,) * (rows - len(lo))
     hi_rest = tuple(accumulate(reversed(hi), initial=0))[::-1]
     lo_rest = tuple(accumulate(reversed(lo), initial=0))[::-1]
-
-    def rec(i, remaining, prev, prefix):
-        if remaining == 0:
-            if lo_rest[i] == 0:
-                yield prefix
-            return
-        top = min(hi[i], prev, remaining - lo_rest[i + 1])
-        bottom = max(lo[i], 1, remaining - hi_rest[i + 1],
-                     -(-remaining // (rows - i)))
-        for m in range(top, bottom - 1, -1):
-            yield from rec(i + 1, remaining - m, m, prefix + (m,))
-
-    if 0 <= d <= hi_rest[0]:
-        yield from rec(0, d, d, ())
+    level = [((), d)] if 0 <= d <= hi_rest[0] else []
+    for i in range(rows):
+        grown = []
+        for prefix, remaining in level:
+            if not remaining:
+                if not lo_rest[i]:
+                    grown.append((prefix, 0))
+                continue
+            top = min(hi[i], prefix[-1] if prefix else remaining,
+                      remaining - lo_rest[i + 1])
+            bottom = max(lo[i], 1, remaining - hi_rest[i + 1],
+                         -(-remaining // (rows - i)))
+            grown.extend((prefix + (m,), remaining - m)
+                         for m in range(top, bottom - 1, -1))
+        level = grown
+    return [prefix for prefix, _ in level]
 
 
 def partitions_in_rect(d, max_len, max_part):
-    """Yield the partitions of d with at most max_len parts, each <= max_part,
-    in lexicographically descending order."""
+    """The list of partitions of d with at most max_len parts, each at most
+    max_part, in lexicographically descending order."""
     return bounded_partitions(d, (max_part,) * max_len)
 
 
@@ -190,19 +193,6 @@ def cmp_graded_dominance(lam, mu):
     return INCOMPARABLE
 
 
-def entrywise_sum(mu, nu):
-    """The partition mu + nu (componentwise, after zero padding)."""
-    k = max(len(mu), len(nu))
-    return check_partition(tuple(
-        (mu[i] if i < len(mu) else 0) + (nu[i] if i < len(nu) else 0)
-        for i in range(k)))
-
-
-def sorted_concat(mu, nu):
-    """The partition whose multiset of parts is the union of those of mu, nu."""
-    return tuple(sorted(mu + nu, reverse=True))
-
-
 def straighten_vector(alpha):
     """Straighten the Schur 'function' of an arbitrary integer vector.
 
@@ -240,16 +230,10 @@ def horizontal_strip_extensions(lam, j, k, max_part):
     """All partitions mu >= lam with at most k parts, mu_1 <= max_part, such
     that mu/lam is a horizontal strip of size j (lam_i <= mu_i <= lam_{i-1})."""
     lam_p = pad(lam, k)
-    return list(bounded_partitions(size(lam) + j, ((max_part,) + lam_p)[:k],
-                                   lam_p))
+    return bounded_partitions(size(lam) + j, ((max_part,) + lam_p)[:k], lam_p)
 
 
 def horizontal_strip_restrictions(lam, j):
     """All partitions mu <= lam such that lam/mu is a horizontal strip of
     size j (lam_{i+1} <= mu_i <= lam_i)."""
-    return list(bounded_partitions(size(lam) - j, lam, lam[1:]))
-
-
-def subpartitions_of_size(lam, d):
-    """All partitions nu <= lam with |nu| = d."""
-    return list(bounded_partitions(d, lam))
+    return bounded_partitions(size(lam) - j, lam, lam[1:])

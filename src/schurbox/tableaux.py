@@ -1,20 +1,20 @@
 """Tableau counting: Kostka numbers and Littlewood-Richardson coefficients.
 
-Two deliberately different algorithms coexist here.  ``lr_coefficient``
-counts lattice skew semistandard tableaux cell by cell, straight from the
-definition.  ``schur_product_expand`` counts chains of horizontal strips
-with ballot-sequence bookkeeping, one strip at a time, producing a whole
-product expansion s_mu * s_nu = sum_lam c_{mu,nu}^lam s_lam in one pass.
-The tests check the routes against each other and against exact
-polynomial multiplication.
+Two deliberately different algorithms coexist here.  ``_lr_tableaux``
+fills one skew shape lam/mu cell by cell, straight from the definition of
+lattice skew tableaux, and counts the fillings by content: the whole skew
+expansion, which ``skew_schur_expand`` and ``lr_coefficient`` read.
+``schur_product_expand`` counts chains of horizontal strips with
+ballot-sequence bookkeeping, producing a whole product expansion
+s_mu * s_nu = sum_lam c_{mu,nu}^lam s_lam in one pass.  The tests check
+the routes against each other and against exact polynomial multiplication.
 """
 
 from functools import lru_cache
 
 from .partitions import (
-    check_partition, compositions, contains, dominates, entrywise_sum,
-    horizontal_strip_restrictions, pad, sorted_concat, straighten_vector,
-    subpartitions_of_size,
+    check_partition, compositions, contains, dominates,
+    horizontal_strip_restrictions, pad, straighten_vector,
 )
 
 
@@ -42,58 +42,55 @@ def kostka(lam, mu):
 
 
 @lru_cache(maxsize=None)
-def lr_coefficient(lam, mu, nu):
-    """The Littlewood-Richardson coefficient c_{mu,nu}^{lam}: the number of
-    semistandard fillings of the skew shape lam/mu with content nu whose
-    reverse reading word (rows top to bottom, each read right to left) is a
-    lattice word.  Counted by direct backtracking over cells in reverse
-    reading order."""
-    lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
-    if sum(mu) + sum(nu) != sum(lam):
-        return 0
-    if not contains(lam, mu):
-        return 0
-    if not nu:
-        return 1 if lam == mu else 0
-    # dominance sandwich: mu + nu >= lam >= sorted(mu cup nu)
-    if not dominates(entrywise_sum(mu, nu), lam):
-        return 0
-    if not dominates(lam, sorted_concat(mu, nu)):
-        return 0
-    if lam[0] > (mu[0] if mu else 0) + nu[0]:
-        return 0
-    rows = len(lam)
+def _lr_tableaux(lam, mu):
+    """{nu: c_{mu,nu}^lam} for mu inside lam: the semistandard fillings of
+    lam/mu whose reverse reading word (rows top to bottom, each read right
+    to left) is a lattice word, counted by content.  The cells are filled in
+    that order, backtracking by cell index."""
+    rows, n = len(lam), sum(lam) - sum(mu)
     mu_p = pad(mu, rows)
-    nvals = len(nu)
-    # cells in reverse reading order
+    # Per cell, the fill slots of its upper bound (right neighbour, else rows
+    # in slot n + 1) and strict lower bound (cell above, else 0 in slot n).
     cells = []
     for r in range(rows):
         for c in range(lam[r] - 1, mu_p[r] - 1, -1):
-            cells.append((r, c))
-    grid = [[0] * lam[r] for r in range(rows)]
-    counts = [0] * (nvals + 1)
+            i = len(cells)
+            cells.append((i - 1 if c + 1 < lam[r] else n + 1,
+                          i - lam[r] + mu_p[r - 1]
+                          if r and c >= mu_p[r - 1] else n))
+    fill = [0] * (n + 1) + [rows]
+    # counts[v] counts the v's placed, a partition for a lattice word, so no
+    # v past its first 0 fits; 0 marks an empty cell, inf lets every 1 in.
+    counts = [float("inf")] + [0] * (rows + 1)
+    out = {}
+    idx = 0
+    while idx >= 0:
+        if idx == n:
+            nu = tuple(counts[1:counts.index(0, 1)])
+            out[nu] = out.get(nu, 0) + 1
+            idx -= 1
+            continue
+        hi_at, lo_at = cells[idx]
+        v = fill[idx]
+        counts[v] -= 1
+        hi = fill[hi_at]
+        v = max(v, fill[lo_at]) + 1
+        while v <= hi and counts[v] == counts[v - 1] > 0:
+            v += 1
+        v = v if v <= hi and counts[v] < counts[v - 1] else 0
+        fill[idx] = v
+        counts[v] += 1
+        idx += 1 if v else -1
+    return out
 
-    def rec(idx):
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        right = grid[r][c + 1] if c + 1 < lam[r] else nvals
-        # the cell above constrains strictly unless it lies inside mu
-        lo = grid[r - 1][c] + 1 if r > 0 and c >= mu_p[r - 1] else 1
-        total = 0
-        for v in range(lo, right + 1):
-            if counts[v] >= nu[v - 1]:
-                continue
-            if v > 1 and counts[v - 1] <= counts[v]:
-                continue
-            counts[v] += 1
-            grid[r][c] = v
-            total += rec(idx + 1)
-            counts[v] -= 1
-        grid[r][c] = 0
-        return total
 
-    return rec(0)
+def lr_coefficient(lam, mu, nu):
+    """The Littlewood-Richardson coefficient c_{mu,nu}^{lam}: the number of
+    lattice fillings of the skew shape lam/mu with content nu."""
+    lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
+    if sum(mu) + sum(nu) != sum(lam) or not contains(lam, mu):
+        return 0
+    return _lr_tableaux(lam, mu).get(nu, 0)
 
 
 def _strips(shape, bounds, boxes, cap):
@@ -177,16 +174,11 @@ def schur_product_expand(mu, nu, k):
 
 def skew_schur_expand(lam, mu):
     """Expansion of the skew Schur function s_{lam/mu} = sum_nu c_{mu,nu}^lam
-    s_nu; empty when mu is not contained in lam."""
+    s_nu, as a new dict; empty when mu is not contained in lam."""
     lam, mu = check_partition(lam), check_partition(mu)
     if not contains(lam, mu):
         return {}
-    out = {}
-    for nu in subpartitions_of_size(lam, sum(lam) - sum(mu)):
-        c = lr_coefficient(lam, mu, nu)
-        if c:
-            out[nu] = c
-    return out
+    return dict(_lr_tableaux(lam, mu))
 
 
 def uncancelled_pieri(alpha, m):

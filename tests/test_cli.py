@@ -53,8 +53,10 @@ def test_straighten_json(capsys):
         {"a1*a3", "-a1*a2", "a1^2", "-a2"}
 
 
-# Each answer has one or two terms, so its cost must not follow the box
-# (C(n, k) partitions) or the 2^(k-1) rim-hook vectors.
+# Each answer has at most three terms, so its cost must not follow the box
+# (C(n, k) partitions) or the 2^(k-1) rim-hook vectors, and a wide partition
+# must not cost a Python frame per row or per cell.
+_ONES = ",".join(["1"] * 1049)
 @pytest.mark.parametrize("argv, want", [
     (("straighten", "--k", "16", "--n", "17", "--mu", "[2]"), "a1*s[]"),
     (("straighten", "--k", "8", "--n", "28", "--mu", "[1]"), "s[1]"),
@@ -63,6 +65,11 @@ def test_straighten_json(capsys):
       "--mu", "[1]"), "s[1,1] + a1*s[]"),
     (("multiply", "--k", "1100", "--n", "1101", "--lambda", "[1]",
       "--mu", "[1]"), "s[1,1] + a1*s[]"),
+    (("pieri", "--k", "2", "--n", "700", "--lambda", "[600,500]",
+      "--j", "698"), "a1*s[599,500] + a1*s[600,499] - a2*s[599,499]"),
+    pytest.param(("pieri", "--k", "1100", "--n", "1102", "--lambda",
+                  f"[1,{_ONES}]", "--j", "1"),
+                 f"s[1,1,{_ONES}] + s[2,{_ONES}]", id="pieri-k1100-1^1050"),
 ])
 def test_small_answers_in_large_contexts_are_fast(capsys, argv, want):
     clear_caches()

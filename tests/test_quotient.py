@@ -602,7 +602,7 @@ def test_straighten_combination_drops_cancelled_terms():
 
 def test_clear_caches_empties_every_cache():
     caches = (quotient._basis_product, quotient._straighten,
-              quotient._complements, tableaux.lr_coefficient,
+              quotient._complements, tableaux._lr_tableaux,
               tableaux.kostka, grobner._reduction_tails,
               grobner._schur_monomials, bases._kostka_inverse)
 

@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from schurbox.grobner import XPoly, deglex_key, h_on_vars, schur_xpoly
 from schurbox.partitions import (
     check_partition, complement, conjugate, contains, dominates,
-    entrywise_sum, enumerate_pkn, pad, size, sorted_concat,
-    horizontal_strip_extensions,
+    enumerate_pkn, pad, size, horizontal_strip_extensions,
 )
 from schurbox.tableaux import (
     kostka, lr_coefficient, schur_product_expand, skew_schur_expand,
@@ -154,6 +153,14 @@ def test_lr_symmetry_in_factors(mu, nu):
 @given(small_partitions(), small_partitions())
 @settings(max_examples=40, deadline=None)
 def test_lr_dominance_sandwich(mu, nu):
+    def entrywise_sum(mu, nu):
+        rows = max(len(mu), len(nu))
+        return check_partition(a + b for a, b in zip(pad(mu, rows),
+                                                     pad(nu, rows)))
+
+    def sorted_concat(mu, nu):
+        return tuple(sorted(mu + nu, reverse=True))
+
     k = 4
     mu, nu = mu[:k], nu[:k]
     for lam, c in schur_product_expand(mu, nu, k).items():
@@ -220,6 +227,28 @@ def test_skew_expansion_matches_fillings(lam, mu):
     want = {nu: c for nu, c in want.items() if len(nu) <= len(lam)}
     got = {nu: c for nu, c in got.items() if len(nu) < k}
     assert got == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_skew_expansion_matches_the_strip_chain_on_every_box_pair(k):
+    """Every lam in the k x 3 box and every mu inside it: s_{lam/mu} read
+    off the strip-chain products s_mu * s_nu over every nu of the right size
+    inside lam (c_{mu,nu}^lam vanishes unless nu lies inside lam)."""
+    box = enumerate_pkn(k, k + 3)
+    for lam, mu in product(box, repeat=2):
+        if contains(lam, mu):
+            want = {nu: c for nu in box
+                    if contains(lam, nu) and size(mu) + size(nu) == size(lam)
+                    and (c := schur_product_expand(mu, nu, len(lam)).get(lam))}
+            assert skew_schur_expand(lam, mu) == want, (lam, mu)
+
+
+def test_skew_expansion_is_a_new_dict():
+    got = skew_schur_expand((4, 3, 2), (3, 1))
+    got[(3, 2)] = 0
+    got.pop((4, 1))
+    assert skew_schur_expand((4, 3, 2), (3, 1)) == \
+        {(4, 1): 1, (3, 2): 2, (3, 1, 1): 1, (2, 2, 1): 1}
 
 
 def test_skew_complement_identity():
