@@ -13,14 +13,16 @@ h_r = s_(r), e_r = s_(1^r), and p_r by its hook expansion.  m inverts the
 Kostka matrix of each size stratum.
 
 h, m and e are always bases.  p and ht may fail, or be bases only over
-fields of certain characteristics; ``classify_family`` decides by computing
-the determinant of the change-of-basis matrix against (s[lam]).  Because the
-quotient is graded with deg a_i = n-k+i, that determinant is an integer
-constant, so it is evaluated at two integer specializations of the a_i and
-cross-checked rather than expanded symbolically.
+fields of certain characteristics; ``classify_family`` decides from the
+determinant of the change-of-basis matrix against (s[lam]).  The grading
+deg a_i = n-k+i makes the coefficient of s[mu] in the member of lam
+homogeneous of degree |lam| - |mu|, so that matrix is block triangular by
+size, and its determinant is the product of the determinants of its integer
+diagonal blocks, the a = 0 (classical) blocks.
 """
 
 from functools import lru_cache
+from itertools import groupby
 
 from .apoly import APoly
 from .partitions import (
@@ -197,17 +199,6 @@ def unitriangularity_check(k, n, family):
             "ok": not failures, "failures": failures}
 
 
-def _first_primes(count):
-    """The first count primes, by trial division."""
-    primes = []
-    m = 2
-    while len(primes) < count:
-        if all(m % p for p in primes):
-            primes.append(m)
-        m += 1
-    return primes
-
-
 def _bareiss_det(mat):
     """Exact determinant of an integer matrix (fraction-free elimination)."""
     m = [list(row) for row in mat]
@@ -238,35 +229,36 @@ def _bareiss_det(mat):
 
 
 def classify_family(k, n, family):
-    """Decide whether the family is a basis of the quotient, returning
-    (verdict, detail):
+    """Decide from the graded diagonal blocks of the change-of-basis matrix
+    (the integer a = 0 blocks, one per size; see the module docstring)
+    whether the family is a basis of the quotient, returning (verdict, detail):
 
         ("yes", 1)    unimodular transition: a basis over Z[a] and every field
-        ("no", 0)     determinant identically zero: never a basis
+        ("no", 0)     determinant zero: never a basis
         ("st", d)     determinant +-d with d > 1: a basis except in
                       characteristics dividing d
-        ("a-dep", None)  determinant genuinely depends on the a_i (the graded
-                      structure rules this out; kept as a safeguard)
-
-    The grading deg a_i = n-k+i makes the transition determinant a degree-0,
-    hence constant, polynomial; it is therefore read off from two integer
-    specializations, all a_i = 0 and a_i = i-th prime, which must agree."""
-    check_context(k, n)
-    _expander(family)
-    basis, rows = _family_terms(k, n, family)
-
-    def det_at(values):
-        return _bareiss_det([[c.evaluate(values) if c else 0
-                              for c in map(row.get, basis)] for row in rows])
-
-    d0, d1 = det_at([0] * k), det_at(_first_primes(k))
-    if d0 != d1:
-        return ("a-dep", None)
-    if d0 == 0:
+        ("a-dep", None)  a row breaks the grading (an entry with |mu| > |lam|,
+                      or a non-constant entry with |mu| = |lam|), so the
+                      product of the block determinants is not the determinant
+    """
+    det = 1
+    for d, block in groupby(zip(*_family_terms(k, n, family)),
+                            lambda member: size(member[0])):
+        block = list(block)
+        col = {lam: j for j, (lam, _) in enumerate(block)}
+        mat = [[0] * len(block) for _ in block]
+        for ints, (_, row) in zip(mat, block):
+            for mu, c in row.items():
+                if size(mu) == d and not c.terms.keys() - {()}:
+                    ints[col[mu]] = c.terms.get((), 0)
+                elif size(mu) >= d:
+                    return ("a-dep", None)
+        det *= _bareiss_det(mat)
+    if det == 0:
         return ("no", 0)
-    if abs(d0) == 1:
+    if abs(det) == 1:
         return ("yes", 1)
-    return ("st", abs(d0))
+    return ("st", abs(det))
 
 
 def basis_table(family, n_max, jobs=1):

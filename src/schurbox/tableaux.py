@@ -114,6 +114,12 @@ def _strips(shape, bounds, boxes, cap):
                 out.append(tuple(new + [0] + [b if b < cap else cap
                                               for b in placed_to[:-1]]))
             return
+        # A row as long as the row above takes no box: step past it.
+        while row and shape[row - 1] == shape[row]:
+            if remaining > shape[row] - shape[last]:
+                return
+            placed_to[row] = placed
+            row += 1
         # A row takes at most the old length of the row above it, so the
         # rows below this one hold at most shape[row] - shape[-1] boxes.
         hi = bounds[row] - placed

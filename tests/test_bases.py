@@ -7,11 +7,13 @@ from itertools import permutations
 
 import pytest
 
+from schurbox import bases
 from schurbox.apoly import APoly, classical_specialization, parse_apoly
 from schurbox.bases import (
-    FAMILIES, basis_table, change_of_basis_matrix, classify_family,
-    expand_e_conj, expand_h, expand_h_conj, expand_m, expand_p,
-    family_element, power_sum_class, s_in_m, unitriangularity_check,
+    FAMILIES, _bareiss_det, basis_table, change_of_basis_matrix,
+    classify_family, expand_e_conj, expand_h, expand_h_conj, expand_m,
+    expand_p, family_element, power_sum_class, s_in_m,
+    unitriangularity_check,
 )
 from schurbox.grobner import (
     XPoly, e_on_vars, h_on_vars, normal_form, parse_xpoly, schur_xpoly,
@@ -252,7 +254,7 @@ def test_classify_known_cells():
     assert classify_family(2, 3, "ht") == ("no", 0)
     assert classify_family(2, 5, "ht") == ("st", 2)
     assert classify_family(3, 6, "ht") == ("yes", 1)
-    # past twelve variables, so past any fixed table of evaluation points
+    # fourteen a_i, and one 1 x 1 block for each size 0..14
     assert classify_family(14, 15, "p") == ("yes", 1)
     assert classify_family(14, 15, "ht") == ("no", 0)
     for family in ("h", "m", "e"):
@@ -260,6 +262,64 @@ def test_classify_known_cells():
         assert classify_family(2, 5, family) == ("yes", 1)
     with pytest.raises(ValueError):
         classify_family(2, 4, "nope")
+
+
+def two_point_verdict(k, n, family):
+    """Oracle: the verdict from the determinant of the whole matrix,
+    evaluated at all a_i = 0 and at a_i = the i-th prime; "a-dep" when the
+    two disagree."""
+    rows = change_of_basis_matrix(k, n, family)
+    primes = [2, 3, 5, 7, 11, 13][:k]
+    d0, d1 = (_bareiss_det([[c.evaluate(values) for c in row] for row in rows])
+              for values in ([0] * k, primes))
+    if d0 != d1:
+        return ("a-dep", None)
+    if d0 == 0:
+        return ("no", 0)
+    return ("yes", 1) if abs(d0) == 1 else ("st", abs(d0))
+
+
+def test_family_matrices_are_graded():
+    # The coefficient of s[mu] in the member of lam is homogeneous of degree
+    # |lam| - |mu| when deg a_i = n-k+i: zero above the size blocks, and
+    # constant on the diagonal blocks.
+    for n in range(2, 8):
+        for k in range(1, n):
+            basis = enumerate_pkn(k, n)
+            for family in FAMILIES:
+                rows = change_of_basis_matrix(k, n, family)
+                for lam, row in zip(basis, rows):
+                    for mu, c in zip(basis, row):
+                        for exps in c.terms:
+                            deg = sum(e * (n - k + i)
+                                      for i, e in enumerate(exps, 1))
+                            assert deg == size(lam) - size(mu), \
+                                (k, n, family, lam, mu, c)
+
+
+def test_classify_matches_two_point_full_determinant():
+    for n in range(2, 8):
+        for k in range(1, n):
+            for family in FAMILIES:
+                assert classify_family(k, n, family) == \
+                    two_point_verdict(k, n, family), (k, n, family)
+
+
+@pytest.mark.parametrize("mu, coeff", [
+    ((2,), APoly.gen(1)),        # non-constant entry in a diagonal block
+    ((2, 2), APoly.const(1)),    # entry above the diagonal blocks
+])
+def test_classify_off_grading_row_is_a_dep(monkeypatch, mu, coeff):
+    real = bases._family_terms
+
+    def broken(k, n, family):
+        basis, rows = real(k, n, family)
+        rows = [dict(row) for row in rows]
+        rows[basis.index((1, 1))][mu] = coeff
+        return basis, rows
+
+    monkeypatch.setattr(bases, "_family_terms", broken)
+    assert classify_family(2, 4, "h") == ("a-dep", None)
 
 
 def test_h_m_e_always_bases_small():

@@ -70,6 +70,10 @@ _ONES = ",".join(["1"] * 1049)
     pytest.param(("pieri", "--k", "1100", "--n", "1102", "--lambda",
                   f"[1,{_ONES}]", "--j", "1"),
                  f"s[1,1,{_ONES}] + s[2,{_ONES}]", id="pieri-k1100-1^1050"),
+    pytest.param(("multiply", "--k", "1100", "--n", "1102", "--lambda",
+                  f"[1,{_ONES}]", "--mu", "[1]"),
+                 f"s[1,1,{_ONES}] + s[2,{_ONES}]",
+                 id="multiply-k1100-1^1050"),
 ])
 def test_small_answers_in_large_contexts_are_fast(capsys, argv, want):
     clear_caches()
