@@ -30,7 +30,7 @@ from .quotient import (
 )
 from .bases import (
     basis_table, change_of_basis_matrix, classify_family, expand_e_conj,
-    expand_h, expand_h_conj, expand_m, expand_p, s_in_m,
+    expand_h, expand_h_conj, expand_m, expand_p, power_sum_class, s_in_m,
     unitriangularity_check,
 )
 
@@ -58,8 +58,9 @@ __all__ = [
     "expand_p", "groebner_generators", "in_box", "kostka", "lr_coefficient",
     "monomial_basis", "multiply", "normal_form", "parse_apoly",
     "parse_specialization", "parse_xpoly", "pieri_h", "positivity_scan",
-    "quantum_specialization", "reduce_h_overflow", "s3_report", "s_in_m",
-    "schur_product_expand", "schur_xpoly", "skew_schur_expand",
+    "power_sum_class", "quantum_specialization", "reduce_h_overflow",
+    "s3_report", "s_in_m", "schur_product_expand", "schur_xpoly",
+    "skew_schur_expand",
     "specialize_elem", "straighten_schur", "structure_constant",
     "uncancelled_pieri", "unitriangularity_check",
 ]

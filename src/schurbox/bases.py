@@ -8,9 +8,14 @@ For lam in P_{k,n} the candidate families are
     p:  p_lam = p_{lam_1} p_{lam_2} ...      (power sums)
     ht: h_{lam^t}                             (h on the conjugate index)
 
-h, e, p and ht are products of one-part classes through ``multiply``:
-h_r = s_(r), e_r = s_(1^r), and p_r by its hook expansion.  m inverts the
-Kostka matrix of each size stratum.
+h, e, p and ht are products of one-part functions.  A member is built from
+the member of its index without the last part: each Schur term s_lam is
+multiplied in Lambda_k by the classical one-part rule, with integer signs,
+and the sum is straightened once.  h_r adds the horizontal r-strips (Pieri),
+e_r adds the 0/1 vectors of weight r (dual Pieri), and p_r adds r to one
+entry (Murnaghan-Nakayama); the last two through the alternant
+straightening of integer vectors.  m inverts the Kostka matrix of each size
+stratum.
 
 h, m and e are always bases.  p and ht may fail, or be bases only over
 fields of certain characteristics; ``classify_family`` decides from the
@@ -22,17 +27,17 @@ diagonal blocks, the a = 0 (classical) blocks.
 """
 
 from functools import lru_cache
-from itertools import groupby
+from itertools import combinations, groupby
 
-from .apoly import APoly
+from .apoly import APoly, add_product, polys_of
 from .partitions import (
     check_in_box, check_partition, cmp_graded_dominance,
-    cmp_size_antidominance, conjugate, enumerate_pkn, partitions_in_rect,
-    size, GREATER,
+    cmp_size_antidominance, conjugate, enumerate_pkn,
+    horizontal_strip_extensions, pad, partitions_in_rect, size,
+    straighten_vector, GREATER,
 )
 from .quotient import (
-    QuotElem, _parallel_map, check_context, multiply, straighten_combination,
-    straighten_schur,
+    QuotElem, _parallel_map, check_context, straighten_combination,
 )
 from .tableaux import kostka
 
@@ -42,34 +47,65 @@ def _check_indexing(k, n, lam):
     return check_in_box(check_partition(lam), k, n)
 
 
-def _one_part_product(k, n, parts, factor):
-    """The product of the one-part classes factor(k, n, r) over r in parts
-    (the class of 1 when parts is empty)."""
+def _h_rule(k, lam, r):
+    """Pieri: s_lam h_r is the sum of s_mu over the horizontal r-strips
+    mu/lam with at most k rows, as (sign, mu) pairs."""
+    return ((1, mu) for mu in horizontal_strip_extensions(
+        lam, r, k, (lam[0] if lam else 0) + r))
+
+
+def _e_rule(k, lam, r):
+    """Dual Pieri: s_lam e_r is the sum of s_{lam + v} over the 0/1 vectors
+    v of weight r, as the nonzero (sign, mu) of their straightening."""
+    lam = pad(lam, k)
+    return filter(None, (straighten_vector(tuple(
+        p + (i in ones) for i, p in enumerate(lam)))
+        for ones in combinations(range(k), r)))
+
+
+def _p_rule(k, lam, r):
+    """Murnaghan-Nakayama: s_lam p_r is the sum of s_{lam + r e_i} over
+    i = 1..k, as the nonzero (sign, mu) of their straightening."""
+    lam = pad(lam, k)
+    return filter(None, (
+        straighten_vector(lam[:i] + (lam[i] + r,) + lam[i + 1:])
+        for i in range(k)))
+
+
+# family -> (the parts of the index lam, the rule of one part)
+_ONE_PART = {"h": (tuple, _h_rule), "ht": (conjugate, _h_rule),
+             "e": (conjugate, _e_rule), "p": (tuple, _p_rule)}
+
+
+def _times_one_part(elem, r, rule):
+    """elem times the one-part function of index r: rule on each Schur term,
+    then one straightening of the sum."""
+    k, n = elem.context
+    sums = {}
+    for lam, c in elem.terms.items():
+        for sign, mu in rule(k, lam, r):
+            add_product(sums.setdefault(mu, {}), c, sign)
+    return straighten_combination(k, n, polys_of(sums))
+
+
+def _one_part_product(k, n, lam, family):
+    """The family member of the box partition lam: the class of 1 times the
+    one-part function of each part of its index in turn."""
+    index, rule = _ONE_PART[family]
     out = QuotElem.one(k, n)
-    for r in parts:
-        out = multiply(out, factor(k, n, r))
+    for r in index(_check_indexing(k, n, lam)):
+        out = _times_one_part(out, r, rule)
     return out
-
-
-def _h_class(k, n, r):
-    """Class of h_r, the one-row s_(r)."""
-    return straighten_schur(k, n, (r,))
-
-
-def _e_class(k, n, r):
-    """Class of e_r, the one-column s_(1^r)."""
-    return straighten_schur(k, n, (1,) * r)
 
 
 def expand_h(k, n, lam):
     """Class of h_lam = h_{lam_1} h_{lam_2} ... for lam in the box."""
-    return _one_part_product(k, n, _check_indexing(k, n, lam), _h_class)
+    return _one_part_product(k, n, lam, "h")
 
 
 def expand_h_conj(k, n, lam):
     """Class of h_{lam^t} for lam in the box."""
-    return _one_part_product(k, n, conjugate(_check_indexing(k, n, lam)),
-                             _h_class)
+    return _one_part_product(k, n, lam, "ht")
 
 
 @lru_cache(maxsize=None)
@@ -114,8 +150,7 @@ def s_in_m(k, n, lam):
 def expand_e_conj(k, n, lam):
     """Class of e_{lam^t} = e_{(lam^t)_1} e_{(lam^t)_2} ... for lam in the
     box."""
-    return _one_part_product(k, n, conjugate(_check_indexing(k, n, lam)),
-                             _e_class)
+    return _one_part_product(k, n, lam, "e")
 
 
 def power_sum_class(k, n, r):
@@ -130,8 +165,7 @@ def power_sum_class(k, n, r):
 
 def expand_p(k, n, lam):
     """Class of p_lam = p_{lam_1} p_{lam_2} ... for lam in the box."""
-    return _one_part_product(k, n, _check_indexing(k, n, lam),
-                             power_sum_class)
+    return _one_part_product(k, n, lam, "p")
 
 
 _EXPANDERS = {"h": expand_h, "m": expand_m, "e": expand_e_conj,
@@ -154,10 +188,21 @@ def family_element(k, n, lam, family):
 
 def _family_terms(k, n, family):
     """(basis, rows): the box partitions in canonical enumeration order, and
-    the Schur-basis terms {mu: APoly} of the family member of each."""
+    the Schur-basis terms {mu: APoly} of the family member of each.  A
+    product family builds the member of each index from the member of its
+    prefix (the index without its last part), kept in a dict for this call;
+    the prefix indexes a smaller box partition, which comes earlier in the
+    order, and the first is the empty one."""
     check_context(k, n)
     basis = enumerate_pkn(k, n)
-    return basis, [family_element(k, n, lam, family).terms for lam in basis]
+    if family not in _ONE_PART:
+        return basis, [family_element(k, n, lam, family).terms
+                       for lam in basis]
+    index, rule = _ONE_PART[family]
+    members = {(): QuotElem.one(k, n)}
+    for parts in map(index, basis[1:]):
+        members[parts] = _times_one_part(members[parts[:-1]], parts[-1], rule)
+    return basis, [member.terms for member in members.values()]
 
 
 def change_of_basis_matrix(k, n, family):

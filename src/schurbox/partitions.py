@@ -209,9 +209,11 @@ def straighten_vector(alpha):
     if len(set(beta)) != k:
         return None
     ascents = sum(1 for a, b in combinations(beta, 2) if a < b)
+    # beta sorted is strictly decreasing and nonnegative, so lam is a
+    # partition padded with zeros: only they need trimming.
     lam = tuple(b - (k - 1 - i)
                 for i, b in enumerate(sorted(beta, reverse=True)))
-    return -1 if ascents % 2 else 1, check_partition(lam)
+    return -1 if ascents % 2 else 1, lam[:k - lam.count(0)]
 
 
 def compositions(m, slots):

@@ -28,10 +28,11 @@ from .apoly import (
     join_signed, polys_of,
 )
 from .partitions import (
-    check_context, check_in_box, check_partition, complement, enumerate_pkn,
-    horizontal_strip_extensions, in_box, pad, size, straighten_vector,
+    check_context, check_in_box, check_partition, complement, contains,
+    enumerate_pkn, horizontal_strip_extensions, in_box, pad, size,
+    straighten_vector,
 )
-from .tableaux import schur_product_expand, skew_schur_expand
+from .tableaux import _lr_tableaux, schur_product_expand
 
 
 def omega(k, n):
@@ -224,8 +225,11 @@ def pieri_h(k, n, lam, j):
         add_product(sums.setdefault(mu, {}), ONE, 1)
     for i in range(1, k + 1):
         hook = (n - k - j + 1,) + (1,) * (i - 1)
+        # each hook holds the one before it, so no later hook fits in lam
+        if not contains(lam, hook):
+            break
         coeff_i = APoly.gen(i) * (1 if i % 2 else -1)
-        for nu, c in skew_schur_expand(lam, hook).items():
+        for nu, c in _lr_tableaux(lam, hook).items():
             add_product(sums.setdefault(nu, {}), coeff_i, c)
     return QuotElem._trusted((k, n), polys_of(sums))
 

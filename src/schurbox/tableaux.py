@@ -3,7 +3,8 @@
 Two deliberately different algorithms coexist here.  ``_lr_tableaux``
 fills one skew shape lam/mu cell by cell, straight from the definition of
 lattice skew tableaux, and counts the fillings by content: the whole skew
-expansion, which ``skew_schur_expand`` and ``lr_coefficient`` read.
+expansion, which ``skew_schur_expand``, ``lr_coefficient`` and
+``quotient.pieri_h`` read (the last in place, never changing it).
 ``schur_product_expand`` counts chains of horizontal strips with
 ballot-sequence bookkeeping, producing a whole product expansion
 s_mu * s_nu = sum_lam c_{mu,nu}^lam s_lam in one pass.  The tests check

@@ -19,7 +19,7 @@ from schurbox.grobner import (
     XPoly, e_on_vars, h_on_vars, normal_form, parse_xpoly, schur_xpoly,
 )
 from schurbox.partitions import conjugate, enumerate_pkn, pad, size
-from schurbox.quotient import QuotElem
+from schurbox.quotient import QuotElem, multiply, straighten_schur
 from schurbox.tableaux import kostka
 
 
@@ -243,6 +243,65 @@ def test_family_element_dispatch():
     assert family_element(3, 5, (2, 1), "m") == expand_m(3, 5, (2, 1))
     with pytest.raises(ValueError):
         family_element(3, 5, (2, 1), "q")
+
+
+# -- the one-part rules -------------------------------------------------------------
+
+ONE_PART_RULES = {"h": (bases._h_rule, h_on_vars),
+                  "e": (bases._e_rule, e_on_vars),
+                  "p": (bases._p_rule, power_sum_xpoly)}
+
+
+def test_one_part_rules_are_products_in_k_variables():
+    # Before straightening: sum sign * s_mu over the rule's terms is
+    # s_lam times the one-part polynomial, in k variables.
+    for k in (1, 2, 3):
+        for d in range(4):
+            for lam in enumerate_pkn(k, k + d):
+                if size(lam) != d:
+                    continue
+                for name, (rule, factor) in ONE_PART_RULES.items():
+                    for r in range(1, 5):
+                        total = XPoly.zero(k)
+                        for sign, mu in rule(k, lam, r):
+                            total = total + schur_xpoly(mu, k) * sign
+                        want = schur_xpoly(lam, k) * factor(r, k)
+                        assert total == want, (k, lam, name, r)
+
+
+def product_route_member(k, n, lam, family):
+    """Oracle: the member as a chain of full quotient products by the
+    straightened one-part classes h_r = s_(r), e_r = s_(1^r) and p_r."""
+    one_part = {"h": lambda r: straighten_schur(k, n, (r,)),
+                "e": lambda r: straighten_schur(k, n, (1,) * r),
+                "p": lambda r: power_sum_class(k, n, r)}
+    factor = one_part[family[0]]
+    out = QuotElem.one(k, n)
+    for r in (lam if family in ("h", "p") else conjugate(lam)):
+        out = multiply(out, factor(r))
+    return out
+
+
+def test_one_part_members_match_product_route():
+    for n in range(2, 8):
+        for k in range(1, n):
+            for family in ("h", "ht", "e", "p"):
+                for lam in enumerate_pkn(k, n):
+                    assert family_element(k, n, lam, family) == \
+                        product_route_member(k, n, lam, family), \
+                        (k, n, family, lam)
+
+
+def test_family_terms_rows_match_family_element():
+    # the prefix-built rows of a table against one fold per member
+    for n in range(2, 8):
+        for k in range(1, n):
+            for family in FAMILIES:
+                basis, rows = bases._family_terms(k, n, family)
+                assert basis == enumerate_pkn(k, n)
+                for lam, row in zip(basis, rows):
+                    assert row == family_element(k, n, lam, family).terms, \
+                        (k, n, family, lam)
 
 
 # -- classification ----------------------------------------------------------------
