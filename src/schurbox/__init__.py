@@ -25,7 +25,7 @@ from .grobner import (
     schur_xpoly,
 )
 from .quotient import (
-    QuotElem, multiply, pieri_h, positivity_scan, reduce_h_overflow,
+    QuotElem, multiply, omega, pieri_h, positivity_scan, reduce_h_overflow,
     s3_report, specialize_elem, straighten_schur, structure_constant,
 )
 from .bases import (
@@ -56,7 +56,7 @@ __all__ = [
     "conjugate", "dominates",
     "enumerate_pkn", "expand_e_conj", "expand_h", "expand_h_conj", "expand_m",
     "expand_p", "groebner_generators", "in_box", "kostka", "lr_coefficient",
-    "monomial_basis", "multiply", "normal_form", "parse_apoly",
+    "monomial_basis", "multiply", "normal_form", "omega", "parse_apoly",
     "parse_specialization", "parse_xpoly", "pieri_h", "positivity_scan",
     "power_sum_class", "quantum_specialization", "reduce_h_overflow",
     "s3_report", "s_in_m", "schur_product_expand", "schur_xpoly",

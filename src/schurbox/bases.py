@@ -12,10 +12,10 @@ h, e, p and ht are products of one-part functions.  A member is built from
 the member of its index without the last part: each Schur term s_lam is
 multiplied in Lambda_k by the classical one-part rule, with integer signs,
 and the sum is straightened once.  h_r adds the horizontal r-strips (Pieri),
-e_r adds the 0/1 vectors of weight r (dual Pieri), and p_r adds r to one
-entry (Murnaghan-Nakayama); the last two through the alternant
-straightening of integer vectors.  m inverts the Kostka matrix of each size
-stratum.
+e_r the vertical r-strips (dual Pieri), and p_r adds r to one entry
+(Murnaghan-Nakayama), through the alternant straightening of integer
+vectors.  m inverts the Kostka matrix of each box stratum (the box
+partitions of one size), with no straightening.
 
 h, m and e are always bases.  p and ht may fail, or be bases only over
 fields of certain characteristics; ``classify_family`` decides from the
@@ -27,7 +27,7 @@ diagonal blocks, the a = 0 (classical) blocks.
 """
 
 from functools import lru_cache
-from itertools import combinations, groupby
+from itertools import groupby
 
 from .apoly import APoly, add_product, polys_of
 from .partitions import (
@@ -55,12 +55,11 @@ def _h_rule(k, lam, r):
 
 
 def _e_rule(k, lam, r):
-    """Dual Pieri: s_lam e_r is the sum of s_{lam + v} over the 0/1 vectors
-    v of weight r, as the nonzero (sign, mu) of their straightening."""
-    lam = pad(lam, k)
-    return filter(None, (straighten_vector(tuple(
-        p + (i in ones) for i, p in enumerate(lam)))
-        for ones in combinations(range(k), r)))
+    """Dual Pieri: s_lam e_r is the sum of s_mu over the vertical r-strips
+    mu/lam with at most k rows (the conjugates of the horizontal r-strips
+    on lam^t of width at most k), as (sign, mu) pairs."""
+    return ((1, conjugate(mu)) for mu in horizontal_strip_extensions(
+        conjugate(lam), r, (lam[0] if lam else 0) + 1, k))
 
 
 def _p_rule(k, lam, r):
@@ -109,12 +108,14 @@ def expand_h_conj(k, n, lam):
 
 
 @lru_cache(maxsize=None)
-def _kostka_inverse(k, d):
-    """(stratum, inv) where stratum lists the partitions of d with at most k
-    parts in lex-descending order and inv is the exact integer inverse of the
-    Kostka matrix K[i][j] = K_{stratum_i, stratum_j} (upper unitriangular
-    since K_{lam,mu} != 0 forces lam >= mu in dominance, hence in lex)."""
-    stratum = tuple(partitions_in_rect(d, k, d))
+def _kostka_inverse(k, n, d):
+    """(stratum, inv) where stratum lists the box partitions of size d in
+    lex-descending order and inv is the exact integer inverse of the Kostka
+    matrix K[i][j] = K_{stratum_i, stratum_j}: upper unitriangular, since
+    K_{lam,mu} != 0 forces lam >= mu in dominance, hence in lex, and the
+    box block of the inverse over all partitions of d with at most k parts,
+    since mu <= lam in the box forces mu_1 <= lam_1 <= n-k."""
+    stratum = tuple(partitions_in_rect(d, k, n - k))
     r = len(stratum)
     K = [[kostka(stratum[i], stratum[j]) for j in range(r)] for i in range(r)]
     inv = [[0] * r for _ in range(r)]
@@ -128,11 +129,10 @@ def _kostka_inverse(k, d):
 def expand_m(k, n, lam):
     """Class of the monomial symmetric polynomial m_lam for lam in the box,
     via exact inversion of the stratum Kostka matrix: m_lam =
-    sum_j inv[lam][j] s_{mu_j}, each s_{mu_j} straightened."""
+    sum_j inv[lam][j] s_{mu_j}, every mu_j already in the box."""
     lam = _check_indexing(k, n, lam)
-    stratum, inv = _kostka_inverse(k, size(lam))
-    row = inv[stratum.index(lam)]
-    return straighten_combination(k, n, dict(zip(stratum, row)))
+    stratum, inv = _kostka_inverse(k, n, size(lam))
+    return QuotElem(k, n, dict(zip(stratum, inv[stratum.index(lam)])))
 
 
 def s_in_m(k, n, lam):

@@ -116,7 +116,7 @@ def cmd_s3(args):
         "triples", "counterexamples",
         lambda ce: f"alpha={list(ce['alpha'])} beta={list(ce['beta'])} "
                    f"gamma={list(ce['gamma'])}: {ce['permuted']} "
-                   f"triple={ce['triple_product']}")
+                   f"expected={ce['expected']}")
 
 
 def cmd_positivity(args):

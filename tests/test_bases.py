@@ -150,7 +150,7 @@ def test_ht_linear_dependence_witness_2_3():
 # -- inversion and triangularity ------------------------------------------------
 
 def test_m_expansion_inverts_kostka():
-    for k, n in ((2, 5), (3, 5), (3, 6)):
+    for k, n in ((2, 5), (3, 5), (3, 6), (2, 6), (4, 7)):
         for nu in enumerate_pkn(k, n):
             total = QuotElem.zero(k, n)
             for mu, c in s_in_m(k, n, nu).items():

@@ -431,7 +431,7 @@ def _corrupt_product(monkeypatch, pair, nu, fn):
 S3_PAIR, S3_NU = ((2,), (1,)), (2, 1)
 S3_COUNTEREXAMPLE = {"alpha": (1,), "beta": (1,), "gamma": (2,),
                      "permuted": ["1", "1", "1", "1", "2", "2"],
-                     "triple_product": "1"}
+                     "expected": "1"}
 
 # At (2,4), s[1] s[2,1] = s[2,2] + a1*s[1] - a2*s[]; with n-k-1 odd its
 # s[1] coefficient reads b1, so negating it is a sign violation.
@@ -449,6 +449,23 @@ def test_s3_scan_reports_a_broken_ordered_pair(monkeypatch):
     report = s3_report(2, 4)
     assert not report["ok"] and report["triples"] == 56
     assert report["counterexamples"] == [S3_COUNTEREXAMPLE]
+
+
+def test_s3_scan_checks_duality_in_the_unit_triples(monkeypatch):
+    """Doubling every product keeps the six reads of each triple equal, so
+    only duality, [s_omega](s_beta s_gamma) = 1 exactly when beta is the
+    complement of gamma, catches it: in the unit triples ((), beta,
+    complement(beta)), one per unordered pair {beta, complement(beta)}."""
+    build = quotient._build_product
+    monkeypatch.setattr(quotient, "_basis_product", lambda k, n, lam, mu: {
+        nu: c * 2 for nu, c in build(k, n, lam, mu).items()})
+    report = s3_report(2, 4)
+    assert not report["ok"] and report["triples"] == 56
+    assert report["counterexamples"] == [
+        {"alpha": (), "beta": beta, "gamma": gamma,
+         "permuted": ["2"] * 6, "expected": "1"}
+        for beta, gamma in (((), (2, 2)), ((1,), (2, 1)), ((2,), (2,)),
+                            ((1, 1), (1, 1)))]
 
 
 def test_positivity_scan_reports_a_flipped_sign(monkeypatch):
@@ -480,7 +497,7 @@ def test_cli_s3_exits_1_on_a_counterexample(monkeypatch, capsys):
     assert out == (
         "k=2 n=4: checked 56 triples, 1 counterexamples\n"
         "  alpha=[1] beta=[1] gamma=[2]: "
-        "['1', '1', '1', '1', '2', '2'] triple=1\n")
+        "['1', '1', '1', '1', '2', '2'] expected=1\n")
     rc, out = _cli(capsys, "s3", "--k", "2", "--n", "4", "--format", "json")
     assert rc == 1
     payload = json.loads(out)
