@@ -38,11 +38,11 @@ __version__ = "0.1.0"
 
 
 def clear_caches():
-    """Empty every lru_cache in the package (the product table, straightening,
-    LR and Kostka numbers, complements, Groebner data and Kostka inverses;
-    box enumerations are not cached).  Every cache is unbounded, so a
-    long-lived caller that moves on from a context can call this to free
-    its memory."""
+    """Empty every lru_cache in the package (the product table, straightening
+    and the unpacked fields of its keys, LR and Kostka numbers, complements,
+    Groebner data and Kostka inverses; box enumerations are not cached).
+    Every cache is unbounded, so a long-lived caller that moves on from a
+    context can call this to free its memory."""
     for module in (apoly, bases, grobner, partitions, quotient, tableaux):
         for fn in vars(module).values():
             if hasattr(fn, "cache_clear"):

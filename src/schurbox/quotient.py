@@ -15,6 +15,16 @@ partition mu with at most k parts, computed by the rim-hook recursion
 over the vector set V = {(-n, t_2, ..., t_k) : t_i in {0,1}}, each summand
 resolved through the alternant straightening of integer vectors; only the
 vectors of V whose summand can be nonzero are listed.
+
+Straightening sums into one sparse accumulator, {key: int}, with one packed
+int key per term c * a^e * s[nu] (packed exponent vectors, as in Monagan
+and Pearce, CASC 2007).  With b = (n-k).bit_length(), the low k*b bits hold
+nu, part i in bits i*b to i*b + b - 1; above them, in _W-bit fields, field
+0 holds |e| and field j holds e_j.  Multiplying by a monomial is one integer
+addition.  An exponent never reaches 2**_W: every term of the class of s_mu
+has |e| <= |mu| // (n-k+1), since deg a_j = n-k+j, and larger inputs are a
+ValueError.  The memo of each s_mu is a flat (key, c, key, c, ...) tuple;
+APoly coefficients are built only when a result leaves the accumulator.
 """
 
 import os
@@ -112,17 +122,55 @@ def render_terms(terms, var="a"):
 
 # -- straightening -----------------------------------------------------------
 
+# Width of one exponent field of a packed key; an exponent must stay below
+# 2**_W, or it would carry into the next field.
+_W = 16
+
+
+def _check_degree(d):
+    """Reject a coefficient degree whose exponents might not fit a field."""
+    if d >> _W:
+        raise ValueError(f"coefficient degree up to {d} does not fit the "
+                         f"{_W}-bit exponent fields of the straightening")
+
+
+def _monomial_key(e, shift):
+    """The packed key of the monomial a^e on the empty partition."""
+    key = sum(e)
+    for j, x in enumerate(e, 1):
+        key += x << (j * _W)
+    return key << shift
+
+
+@lru_cache(maxsize=None)
+def _fields(bits, width):
+    """The width-bit fields of bits, lowest first, up to its last nonzero
+    one: a packed partition or exponent vector, unpacked once and shared."""
+    mask = (1 << width) - 1
+    out = []
+    while bits:
+        out.append(bits & mask)
+        bits >>= width
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def _straighten(k, n, mu):
-    """Frozen item tuple of the class of s_mu, for mu with at most k parts.
+    """The class of s_mu, for mu with at most k parts, as a flat tuple
+    (key, c, key, c, ...) of packed keys and nonzero ints.
     Entries 2 <= i < l <= k of beta = mu + tau + (k-1, ..., 0) differ by
     mu_i - mu_l + l - i + t_i - t_l, which is 0 only when l = i+1,
     mu_i = mu_l, t_i = 0 and t_l = 1, where the alternant vanishes; so a
     run of r equal parts in mu_2..mu_k takes the tails 1^a 0^(r-a).  A
-    collision with the first entry is left to straighten_vector."""
+    collision with the first entry is left to straighten_vector.  On the
+    listed vectors beta_2..beta_k decrease strictly and beta_1 = mu_1 - n +
+    k - 1 is the same for every tau, so the sorted beta, hence lam, fixes
+    tau: each lam of the step comes from one tau."""
+    _check_degree(size(mu) // (n - k + 1))
     if in_box(mu, k, n):
-        return ((mu, ONE),)
-    sums = {}
+        b = (n - k).bit_length()
+        return (sum(p << (i * b) for i, p in enumerate(mu)), 1)
+    step = {}
     mu_p = pad(mu, k)
     vectors = [(-n,)]
     for r in Counter(mu_p[1:]).values():
@@ -134,10 +182,48 @@ def _straighten(k, n, mu):
         if res is None:
             continue
         sgn, lam = res
-        coeff = APoly.gen(j) * (sgn * (-1 if (k - j) % 2 else 1))
-        for nu, c in _straighten(k, n, lam):
-            add_product(sums.setdefault(nu, {}), coeff, c)
-    return tuple(sorted(polys_of(sums).items()))
+        # recurse from this frame, not from _accumulate's, so a rim hook
+        # costs one frame of depth; _accumulate then reads the memo
+        _straighten(k, n, lam)
+        step[lam] = APoly.gen(j) * (sgn * (-1 if (k - j) % 2 else 1))
+    return tuple(chain.from_iterable(_accumulate(k, n, step).items()))
+
+
+def _accumulate(k, n, combination):
+    """sum_mu c_mu s_mu straightened, for a dict {mu: c_mu} of int or APoly
+    coefficients, as {packed key: nonzero int}; a zero c_mu is skipped
+    without straightening mu."""
+    shift = k * (n - k).bit_length()
+    acc = {}
+    get = acc.get
+    for mu, c in combination.items():
+        if not c:
+            continue
+        flat = _straighten(k, n, mu)
+        if isinstance(c, int):
+            monos = ((0, c),)
+        else:
+            _check_degree(max(map(sum, c.terms)) + size(mu) // (n - k + 1))
+            monos = [(_monomial_key(e, shift), ce)
+                     for e, ce in c.terms.items()]
+        for m, ce in monos:
+            it = iter(flat)
+            for key, ci in zip(it, it):
+                key += m
+                acc[key] = get(key, 0) + ci * ce
+    return {key: c for key, c in acc.items() if c}
+
+
+def _unpack(k, n, packed):
+    """{nu: APoly} of a packed accumulator."""
+    b = (n - k).bit_length()
+    shift = k * b
+    mask, skip = (1 << shift) - 1, shift + _W
+    sums = {}
+    for key, c in packed.items():
+        sums.setdefault(_fields(key & mask, b), {})[
+            _fields(key >> skip, _W)] = c
+    return polys_of(sums)
 
 
 def straighten_schur(k, n, mu):
@@ -154,29 +240,29 @@ def straighten_combination(k, n, combination):
     """The class of sum_mu c_mu s_mu for a dict {mu: c_mu} of int or APoly
     coefficients on partitions mu with at most k parts; a zero coefficient
     is skipped without straightening its partition.  Every coefficient of
-    the result is a new APoly, never one held by the cache."""
-    sums = {}
-    for mu, c in combination.items():
-        if not c:
-            continue
-        for nu, ap in _straighten(k, n, mu):
-            add_product(sums.setdefault(nu, {}), ap, c)
-    return QuotElem._trusted(check_context(k, n), polys_of(sums))
+    the result is a new APoly."""
+    context = check_context(k, n)
+    return QuotElem._trusted(context,
+                             _unpack(k, n, _accumulate(k, n, combination)))
 
 
 # -- multiplication ----------------------------------------------------------
 
+def _packed_product(k, n, lam, mu):
+    """s[lam] * s[mu] for box partitions lam, mu, packed."""
+    return _accumulate(k, n, schur_product_expand(lam, mu, k))
+
+
 def _build_product(k, n, lam, mu):
     """s[lam] * s[mu] for box partitions lam, mu, as a new dict
     {nu: APoly} in sorted nu order."""
-    product = straighten_combination(k, n, schur_product_expand(lam, mu, k))
-    return dict(sorted(product.terms.items()))
+    return dict(sorted(_unpack(k, n, _packed_product(k, n, lam, mu)).items()))
 
 
 # The product table, cached on the ordered pair, so commutativity is
 # computed, not assumed.  Every caller reads the same cached dict in place
-# and must not modify it.  A scan that reads each product once calls
-# _build_product instead.
+# and must not modify it.  The positivity scan, which reads each product
+# once, reads _packed_product instead.
 _basis_product = lru_cache(maxsize=None)(_build_product)
 
 
@@ -314,24 +400,37 @@ def _scan(k, n, jobs, arity, check, noun, found):
 
 
 def _positivity_pair(k, n, pair):
-    """The sign violations in s[lam] * s[mu], built uncached because the
-    scan reads each product once.  In the b-variables, the monomial c*a^e
-    of the s[nu] coefficient has the sign of c, negated when |lam| + |mu| -
-    |nu| is odd, and negated again when flip and |e| is odd."""
+    """The sign violations in s[lam] * s[mu], read from its packed product,
+    uncached because the scan reads each product once.  In the
+    b-variables, the monomial c*a^e of the s[nu] coefficient has the sign
+    of c, negated when |lam| + |mu| - |nu| is odd, and negated again when
+    flip and |e| is odd.  Both parities are bits of the key: |nu| is odd
+    when an odd number of its parts' fields have their low bit set, and
+    |e| is field 0 of the exponents.  An APoly is built only for a
+    violating nu."""
     lam, mu = pair
-    flip = (n - k - 1) % 2 == 1
+    flip = (n - k - 1) % 2
     base = size(lam) + size(mu)
-    bad = []
-    for nu, g in _build_product(k, n, lam, mu).items():
-        odd = (base - size(nu)) % 2 == 1
-        if any((c < 0) != (odd ^ (flip and sum(e) % 2 == 1))
-               for e, c in g.terms.items()):
-            poly = -g if odd else g
-            if flip:
-                poly = poly.flip_by_degree_parity()
-            bad.append({"lam": lam, "mu": mu, "nu": nu,
-                        "in_b_variables": poly.render("b")})
-    return bad
+    b = (n - k).bit_length()
+    shift = k * b
+    mask = (1 << shift) - 1
+    # the low bit of each part's field (none when b = 0), and of |e|'s
+    odd = sum(1 << i for i in range(0, shift, b or 1)) | flip << shift
+    packed = _packed_product(k, n, lam, mu)
+    bad = {key & mask for key, c in packed.items()
+           if (c < 0) != (base + (key & odd).bit_count()) % 2}
+    if not bad:
+        return []
+    found = _unpack(k, n, {key: c for key, c in packed.items()
+                           if key & mask in bad})
+    out = []
+    for nu, g in sorted(found.items()):
+        poly = -g if (base - size(nu)) % 2 else g
+        if flip:
+            poly = poly.flip_by_degree_parity()
+        out.append({"lam": lam, "mu": mu, "nu": nu,
+                    "in_b_variables": poly.render("b")})
+    return out
 
 
 def worker_count(jobs, n_items):

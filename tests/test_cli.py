@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from schurbox import cli, clear_caches
+from schurbox import cli, clear_caches, quotient
 from schurbox.cli import main, parse_partition_arg
 from schurbox.quotient import worker_count
 
@@ -89,6 +89,29 @@ def test_straighten_too_many_parts_is_usage_error(capsys):
                      "--mu", "[1,1,1]")
     assert rc == 2
     assert "error:" in err
+
+
+@pytest.fixture
+def three_bit_fields(monkeypatch):
+    """Straightening with 3-bit exponent fields, on caches that hold no
+    key packed at another width, before or after."""
+    monkeypatch.setattr(quotient, "_W", 3)
+    clear_caches()
+    yield
+    clear_caches()
+
+
+def test_straighten_exponent_overflow_is_usage_error(capsys,
+                                                     three_bit_fields):
+    # at (1,2), s[m] = a1^(m//2) s[m%2]; a 3-bit field holds a1^7, not a1^8
+    rc, out, _ = run(capsys, "straighten", "--k", "1", "--n", "2",
+                     "--mu", "[15]")
+    assert (rc, out) == (0, "a1^7*s[1]\n")
+    rc, out, err = run(capsys, "straighten", "--k", "1", "--n", "2",
+                       "--mu", "[16]")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: coefficient degree up to 8 does not fit")
+    assert err.count("\n") == 1
 
 
 # -- multiply and pieri ---------------------------------------------------------

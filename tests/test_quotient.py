@@ -7,6 +7,7 @@ system wherever both routes exist."""
 import json
 import random
 from collections import Counter
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -22,7 +23,7 @@ from schurbox.apoly import (
 from schurbox.cli import main
 from schurbox.grobner import h_on_vars, normal_form, schur_xpoly
 from schurbox.partitions import (
-    complement, enumerate_pkn, pad, partitions_in_rect, size,
+    complement, enumerate_pkn, in_box, pad, partitions_in_rect, size,
     straighten_vector,
 )
 from schurbox.quotient import (
@@ -138,8 +139,8 @@ def test_surviving_rim_hooks_match_the_full_walk(monkeypatch):
         return res
 
     monkeypatch.setattr(quotient, "straighten_vector", recording)
-    monkeypatch.setattr(quotient, "_straighten",
-                        lambda k, n, lam: ((lam, APoly.const(1)),))
+    # the flat memo of s[] with coefficient 1, whatever lam is
+    monkeypatch.setattr(quotient, "_straighten", lambda k, n, lam: (0, 1))
     shapes = 0
     for k in range(1, 6):
         for n in range(k + 1, k + 4):
@@ -152,6 +153,80 @@ def test_surviving_rim_hooks_match_the_full_walk(monkeypatch):
                     assert seen == _full_walk(k, n, mu), (k, n, mu)
                     shapes += 1
     assert shapes == 3718
+
+
+@lru_cache(maxsize=None)
+def _rim_hook_oracle(k, n, mu):
+    """The class of s_mu as {nu: APoly}, by the rim-hook recursion in APoly
+    arithmetic, over the same surviving vectors as _straighten."""
+    if in_box(mu, k, n):
+        return {mu: APoly.const(1)}
+    mu_p = pad(mu, k)
+    vectors = [(-n,)]
+    for r in Counter(mu_p[1:]).values():
+        vectors = [tau + (1,) * a + (0,) * (r - a)
+                   for tau in vectors for a in range(r + 1)]
+    out = {}
+    for tau in vectors:
+        res = straighten_vector(tuple(m + t for m, t in zip(mu_p, tau)))
+        if res is None:
+            continue
+        sgn, lam = res
+        j = -sum(tau) - (n - k)
+        coeff = APoly.gen(j) * (sgn * (-1 if (k - j) % 2 else 1))
+        for nu, c in _rim_hook_oracle(k, n, lam).items():
+            out[nu] = out.get(nu, APoly()) + coeff * c
+    return {nu: c for nu, c in out.items() if c}
+
+
+def test_straightening_matches_the_apoly_recursion():
+    """The packed straightening against the APoly rim-hook recursion, on
+    every mu with k <= 4, n <= 8 and mu_1 <= 3(n-k), and on the one-term
+    shapes of large contexts."""
+    shapes = 0
+    for k in range(1, 5):
+        for n in range(k, 9):
+            for d in range(3 * (n - k) * k + 1):
+                for mu in partitions_in_rect(d, k, 3 * (n - k)):
+                    assert straighten_schur(k, n, mu).terms == \
+                        _rim_hook_oracle(k, n, mu), (k, n, mu)
+                    shapes += 1
+    assert shapes == 4980
+    for k, n, mu in ((16, 17, (2,)), (1500, 1501, (1,))):
+        assert straighten_schur(k, n, mu).terms == \
+            _rim_hook_oracle(k, n, mu)
+
+
+def test_straighten_recursion_costs_one_frame_per_rim_hook():
+    """At (1,2), s[m] = a1^(m//2) s[m%2] takes m//2 rim hooks: 350 of them
+    fit under the default recursion limit only when each hook costs the
+    memo's one frame (and its cache wrapper), not a second frame in the
+    accumulator."""
+    clear_caches()
+    assert straighten_schur(1, 2, (700,)).render() == "a1^350*s[]"
+
+
+def test_straighten_rejects_exponents_past_the_field_width(monkeypatch):
+    """A coefficient whose degree, plus the degree that straightening adds,
+    would carry out of an exponent field is a ValueError, not a wrong key;
+    a partition too large for the fields is rejected before any of its
+    rim hooks is straightened."""
+    monkeypatch.setattr(quotient, "_W", 3)
+    clear_caches()
+    try:
+        with pytest.raises(ValueError, match="does not fit"):
+            straighten_schur(1, 2, (16,))
+        assert quotient._straighten.cache_info().currsize == 0
+        a1 = APoly.gen(1)
+        # at (1,2), s[3] = a1*s[1]: degree 6 + 1 fits in 3 bits, 7 + 1 not
+        assert straighten_combination(1, 2, {(3,): a1 ** 6}).render() == \
+            "a1^7*s[1]"
+        with pytest.raises(ValueError, match="does not fit"):
+            straighten_combination(1, 2, {(3,): a1 ** 7})
+        with pytest.raises(ValueError, match="does not fit"):
+            straighten_combination(1, 2, {(1,): a1 ** 8})
+    finally:
+        clear_caches()
 
 
 def test_canonical_order_is_the_box_enumeration():
@@ -409,19 +484,21 @@ def test_parallel_scans_equal_serial(k, n):
 
 
 def _corrupt_product(monkeypatch, pair, nu, fn):
-    """Make both the product table and the uncached builder that the
-    positivity scan reads return fn(coefficient) at nu for the ordered pair
-    only; the cached table itself stays intact."""
-    build = quotient._build_product
+    """Make the packed product, which the positivity scan reads and the
+    product table unpacks, hold fn(coefficient) at nu for the ordered pair
+    only; the product table is read uncached, so its cache stays intact."""
+    packed = quotient._packed_product
 
     def corrupted(k, n, lam, mu):
-        table = build(k, n, lam, mu)
-        if (lam, mu) == pair:
-            table[nu] = fn(table.get(nu, APoly.const(0)))
-        return table
+        acc = packed(k, n, lam, mu)
+        if (lam, mu) != pair:
+            return acc
+        table = quotient._unpack(k, n, acc)
+        table[nu] = fn(table.get(nu, APoly.const(0)))
+        return quotient._accumulate(k, n, table)
 
-    monkeypatch.setattr(quotient, "_basis_product", corrupted)
-    monkeypatch.setattr(quotient, "_build_product", corrupted)
+    monkeypatch.setattr(quotient, "_packed_product", corrupted)
+    monkeypatch.setattr(quotient, "_basis_product", quotient._build_product)
 
 
 # At (2,4), s[2] s[1] = s[2,1] + a1*s[].  Only s[2] s[1] is corrupted, not
@@ -619,7 +696,7 @@ def test_straighten_combination_drops_cancelled_terms():
 
 def test_clear_caches_empties_every_cache():
     caches = (quotient._basis_product, quotient._straighten,
-              quotient._complements, tableaux._lr_tableaux,
+              quotient._fields, quotient._complements, tableaux._lr_tableaux,
               tableaux.kostka, grobner._reduction_tails,
               grobner._schur_monomials, bases._kostka_inverse)
 
