@@ -12,10 +12,10 @@ h, e, p and ht are products of one-part functions.  A member is built from
 the member of its index without the last part: each Schur term s_lam is
 multiplied in Lambda_k by the classical one-part rule, with integer signs,
 and the sum is straightened once.  h_r adds the horizontal r-strips (Pieri),
-e_r the vertical r-strips (dual Pieri), and p_r adds r to one entry
-(Murnaghan-Nakayama), through the alternant straightening of integer
-vectors.  m inverts the Kostka matrix of each box stratum (the box
-partitions of one size), with no straightening.
+e_r the vertical r-strips (dual Pieri), and p_r adds r to one entry of
+lam + (k-1, ..., 0) and sorts it back in, with one sign per entry passed
+(Murnaghan-Nakayama).  m inverts the Kostka matrix of each box stratum (the
+box partitions of one size), with no straightening.
 
 h, m and e are always bases.  p and ht may fail, or be bases only over
 fields of certain characteristics; ``classify_family`` decides from the
@@ -33,8 +33,7 @@ from .apoly import APoly, add_product, polys_of
 from .partitions import (
     check_in_box, check_partition, cmp_graded_dominance,
     cmp_size_antidominance, conjugate, enumerate_pkn,
-    horizontal_strip_extensions, pad, partitions_in_rect, size,
-    straighten_vector, GREATER,
+    horizontal_strip_extensions, pad, partitions_in_rect, size, GREATER,
 )
 from .quotient import (
     QuotElem, _parallel_map, check_context, straighten_combination,
@@ -64,11 +63,24 @@ def _e_rule(k, lam, r):
 
 def _p_rule(k, lam, r):
     """Murnaghan-Nakayama: s_lam p_r is the sum of s_{lam + r e_i} over
-    i = 1..k, as the nonzero (sign, mu) of their straightening."""
+    i = 1..k, as the nonzero (sign, mu) of their straightening, in i order.
+    beta = lam + (k-1, ..., 0) decreases strictly; adding r to beta_i
+    vanishes when beta_i + r is already an entry of beta, and otherwise
+    moves it left past the j entries it now exceeds, with sign (-1)^j: mu
+    takes beta_i + r at row i - j and adds 1 to each row it passes."""
     lam = pad(lam, k)
-    return filter(None, (
-        straighten_vector(lam[:i] + (lam[i] + r,) + lam[i + 1:])
-        for i in range(k)))
+    beta = [p + k - 1 - i for i, p in enumerate(lam)]
+    entries = set(beta)
+    for i in range(k):
+        v = beta[i] + r
+        if v in entries:
+            continue
+        t = i
+        while t and beta[t - 1] < v:
+            t -= 1
+        mu = (lam[:t] + (v - (k - 1 - t),)
+              + tuple(p + 1 for p in lam[t:i]) + lam[i + 1:])
+        yield -1 if (i - t) % 2 else 1, mu[:k - mu.count(0)]
 
 
 # family -> (the parts of the index lam, the rule of one part)

@@ -25,6 +25,12 @@ addition.  An exponent never reaches 2**_W: every term of the class of s_mu
 has |e| <= |mu| // (n-k+1), since deg a_j = n-k+j, and larger inputs are a
 ValueError.  The memo of each s_mu is a flat (key, c, key, c, ...) tuple;
 APoly coefficients are built only when a result leaves the accumulator.
+
+The product table keeps each s[lam] * s[mu] as one row {packed nu: (e, c,
+e, c, ...)}: the packed nu is the low k*b bits of a key, each e the key
+shifted right past them (field 0, |e|, kept), and the (e, c) pairs of one nu
+come in ascending e.  Two coefficients are then equal exactly when their
+tuples are, and an APoly is built only when a coefficient leaves the table.
 """
 
 import os
@@ -35,7 +41,7 @@ from math import comb
 
 from .apoly import (
     APoly, APolyModule, ZERO, ONE, add_product, attach_coefficient,
-    join_signed, polys_of,
+    join_signed, poly_of, polys_of,
 )
 from .partitions import (
     check_context, check_in_box, check_partition, complement, contains,
@@ -134,6 +140,12 @@ def _check_degree(d):
                          f"{_W}-bit exponent fields of the straightening")
 
 
+def _pack(k, n, lam):
+    """The packed key of s[lam], for lam in the box, with coefficient 1."""
+    b = (n - k).bit_length()
+    return sum(p << (i * b) for i, p in enumerate(lam))
+
+
 def _monomial_key(e, shift):
     """The packed key of the monomial a^e on the empty partition."""
     key = sum(e)
@@ -168,8 +180,7 @@ def _straighten(k, n, mu):
     tau: each lam of the step comes from one tau."""
     _check_degree(size(mu) // (n - k + 1))
     if in_box(mu, k, n):
-        b = (n - k).bit_length()
-        return (sum(p << (i * b) for i, p in enumerate(mu)), 1)
+        return (_pack(k, n, mu), 1)
     step = {}
     mu_p = pad(mu, k)
     vectors = [(-n,)]
@@ -254,41 +265,68 @@ def _packed_product(k, n, lam, mu):
 
 
 def _build_product(k, n, lam, mu):
-    """s[lam] * s[mu] for box partitions lam, mu, as a new dict
-    {nu: APoly} in sorted nu order."""
-    return dict(sorted(_unpack(k, n, _packed_product(k, n, lam, mu)).items()))
+    """s[lam] * s[mu] for box partitions lam, mu, as a new row {packed nu:
+    (e, c, e, c, ...)} with the pairs of each nu in ascending e: the packed
+    keys are sorted once, and a key is nu + (e << k*b)."""
+    shift = k * (n - k).bit_length()
+    mask = (1 << shift) - 1
+    row = {}
+    for key, c in sorted(_packed_product(k, n, lam, mu).items()):
+        row.setdefault(key & mask, []).extend((key >> shift, c))
+    return {nu: tuple(flat) for nu, flat in row.items()}
 
 
-# The product table, cached on the ordered pair, so commutativity is
-# computed, not assumed.  Every caller reads the same cached dict in place
-# and must not modify it.  The positivity scan, which reads each product
-# once, reads _packed_product instead.
+# The product table: one row {packed nu: (e, c, e, c, ...)} per ordered
+# pair, cached on the pair, so commutativity is computed, not assumed.
+# Every caller reads the same cached row in place and must not modify it;
+# an APoly is built only when a coefficient leaves (_coeff).  The
+# positivity scan, which reads each product once, reads _packed_product
+# instead.
 _basis_product = lru_cache(maxsize=None)(_build_product)
 
 
+def _coeff(flat):
+    """A new APoly of a row coefficient (e, c, e, c, ...)."""
+    it = iter(flat)
+    return poly_of({_fields(e >> _W, _W): c for e, c in zip(it, it)})
+
+
 def multiply(f, g):
-    """The product of two elements."""
+    """The product of two elements: c_f * c_g * s[lam] * s[mu] summed into
+    one packed accumulator, each monomial of c_f * c_g one integer added to
+    the exponents of the row."""
     f._check_same(g)
     k, n = f.context
-    sums = {}
+    shift = k * (n - k).bit_length()
+    acc = {}
+    get = acc.get
     for lam, cf in f.terms.items():
         for mu, cg in g.terms.items():
             c = cf * cg
-            for nu, ap in _basis_product(k, n, lam, mu).items():
-                add_product(sums.setdefault(nu, {}), ap, c)
-    return f._new(polys_of(sums))
+            # every exponent of the row has |e| <= (|lam| + |mu|) // (n-k+1)
+            _check_degree(max(map(sum, c.terms))
+                          + (size(lam) + size(mu)) // (n - k + 1))
+            row = _basis_product(k, n, lam, mu).items()
+            for e, cm in c.terms.items():
+                m = _monomial_key(e, 0)
+                for nu, flat in row:
+                    it = iter(flat)
+                    for er, cr in zip(it, it):
+                        key = nu + ((er + m) << shift)
+                        acc[key] = get(key, 0) + cr * cm
+    return f._new(_unpack(k, n, acc))
 
 
 def structure_constant(k, n, alpha, beta, gamma):
     """g(alpha, beta, gamma) = coeff of s[complement(gamma)] in
     s[alpha] * s[beta]; symmetric in all three arguments.  Returns a new
-    APoly, not the one in the product table."""
+    APoly, built from the row of the product table."""
     check_context(k, n)
     alpha, beta, gamma = (check_partition(p) for p in (alpha, beta, gamma))
     for p in (alpha, beta, gamma):
         check_in_box(p, k, n)
-    return APoly(_basis_product(k, n, alpha, beta).get(
-        complement(gamma, k, n), ZERO).terms)
+    return _coeff(_basis_product(k, n, alpha, beta).get(
+        _pack(k, n, complement(gamma, k, n)), ()))
 
 
 # -- Pieri rule --------------------------------------------------------------
@@ -359,23 +397,29 @@ def s3_report(k, n, jobs=1):
 
 @lru_cache(maxsize=None)
 def _complements(k, n):
-    """{lam: complement(lam)} over the box; built once per context (and per
-    scan worker process)."""
-    return {lam: complement(lam, k, n) for lam in enumerate_pkn(k, n)}
+    """{lam: packed complement(lam)} over the box, the row key of
+    g(., ., lam); built once per context (and per scan worker process)."""
+    return {lam: _pack(k, n, complement(lam, k, n))
+            for lam in enumerate_pkn(k, n)}
 
 
 def _s3_triple(k, n, triple):
+    """The six reads of the triple compared as row tuples; an APoly is built
+    only to render a counterexample."""
     alpha, beta, gamma = triple
     comp = _complements(k, n)
-    values = [_basis_product(k, n, x, y).get(comp[z], ZERO)
+    values = [_basis_product(k, n, x, y).get(comp[z], ())
               for x, y, z in permutations(triple)]
-    want = values[0] if alpha else (ONE if beta == comp[gamma] else ZERO)
-    if all(v == want for v in values):
+    if alpha:
+        want = values[0]
+    else:
+        want = (0, 1) if beta == complement(gamma, k, n) else ()
+    if values.count(want) == 6:
         return []
     return [{
         "alpha": alpha, "beta": beta, "gamma": gamma,
-        "permuted": [v.render() for v in values],
-        "expected": want.render(),
+        "permuted": [_coeff(v).render() for v in values],
+        "expected": _coeff(want).render(),
     }]
 
 

@@ -18,7 +18,9 @@ from schurbox.bases import (
 from schurbox.grobner import (
     XPoly, e_on_vars, h_on_vars, normal_form, parse_xpoly, schur_xpoly,
 )
-from schurbox.partitions import conjugate, enumerate_pkn, pad, size
+from schurbox.partitions import (
+    conjugate, enumerate_pkn, pad, size, straighten_vector,
+)
 from schurbox.quotient import QuotElem, multiply, straighten_schur
 from schurbox.tableaux import kostka
 
@@ -267,6 +269,21 @@ def test_one_part_rules_are_products_in_k_variables():
                             total = total + schur_xpoly(mu, k) * sign
                         want = schur_xpoly(lam, k) * factor(r, k)
                         assert total == want, (k, lam, name, r)
+
+
+def test_p_rule_matches_straightening_each_vector():
+    """The O(k) sign of the p rule against the old rule: straighten
+    lam + r e_i for each i, keeping the nonzero results in i order."""
+    cases = 0
+    for k in range(1, 7):
+        for lam in enumerate_pkn(k, k + 6):
+            padded = pad(lam, k)
+            for r in range(1, 12):
+                want = [res for i in range(k) if (res := straighten_vector(
+                    padded[:i] + (padded[i] + r,) + padded[i + 1:]))]
+                assert list(bases._p_rule(k, lam, r)) == want, (k, lam, r)
+                cases += 1
+    assert cases == 18865
 
 
 def product_route_member(k, n, lam, family):

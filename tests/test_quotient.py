@@ -17,8 +17,8 @@ from schurbox import (
     bases, clear_caches, grobner, quotient, tableaux,
 )
 from schurbox.apoly import (
-    APoly, classical_specialization, parse_specialization,
-    quantum_specialization,
+    APoly, add_product, classical_specialization, parse_specialization,
+    polys_of, quantum_specialization,
 )
 from schurbox.cli import main
 from schurbox.grobner import h_on_vars, normal_form, schur_xpoly
@@ -32,7 +32,7 @@ from schurbox.quotient import (
     specialize_elem, straighten_combination, straighten_schur,
     structure_constant,
 )
-from schurbox.tableaux import lr_coefficient
+from schurbox.tableaux import lr_coefficient, schur_product_expand
 from test_apoly import const_value
 
 
@@ -270,6 +270,87 @@ def test_scalar_action(f):
     assert f * 2 == f + f
     assert f * APoly.gen(2) == QuotElem(
         3, 6, {lam: c * APoly.gen(2) for lam, c in f.terms.items()})
+
+
+# -- the product table --------------------------------------------------------
+
+def _apoly_route_product(k, n, lam, mu):
+    """s[lam] * s[mu] as {nu: APoly}: the LR expansion, straightened."""
+    return straighten_combination(k, n, schur_product_expand(lam, mu, k)).terms
+
+
+def _apoly_route_multiply(f, g):
+    """The product of two elements summed coefficient by coefficient from
+    {nu: APoly} products, the oracle of the packed rows."""
+    k, n = f.context
+    sums = {}
+    for lam, cf in f.terms.items():
+        for mu, cg in g.terms.items():
+            c = cf * cg
+            for nu, ap in _apoly_route_product(k, n, lam, mu).items():
+                add_product(sums.setdefault(nu, {}), ap, c)
+    return QuotElem(k, n, polys_of(sums))
+
+
+@pytest.mark.parametrize("k, n", [(2, 6), (3, 7), (4, 8)])
+def test_product_rows_match_the_apoly_route(k, n):
+    """Every ordered pair's row holds, at each packed nu, its (e, c) pairs
+    strictly ascending in e, so that equal coefficients are equal tuples,
+    and reads back as the straightened LR expansion (one expansion for
+    both orders of a pair: the LR coefficients are symmetric)."""
+    box = enumerate_pkn(k, n)
+    for i, lam in enumerate(box):
+        for mu in box[i:]:
+            want = {quotient._pack(k, n, nu): c for nu, c in
+                    _apoly_route_product(k, n, lam, mu).items()}
+            for pair in ((lam, mu), (mu, lam)):
+                row = _basis_product(k, n, *pair)
+                for flat in row.values():
+                    es = flat[::2]
+                    assert all(a < b for a, b in zip(es, es[1:])), pair
+                    assert all(flat[1::2]), pair
+                assert {nu: quotient._coeff(flat)
+                        for nu, flat in row.items()} == want, pair
+
+
+def _random_elem(rng, k, n):
+    """An element with up to three terms, each coefficient a sum of up to
+    three signed monomials in a_1..a_k."""
+    box = enumerate_pkn(k, n)
+    terms = {}
+    for lam in rng.sample(box, rng.randint(1, min(3, len(box)))):
+        c = APoly()
+        for _ in range(rng.randint(1, 3)):
+            e = tuple(rng.randint(0, 2) for _ in range(k))
+            c = c + APoly.monomial(e, rng.choice((-3, -1, 1, 2)))
+        terms[lam] = c
+    return QuotElem(k, n, terms)
+
+
+def test_multiply_general_coefficients_matches_the_apoly_route():
+    rng = random.Random(19)
+    for k, n in ((1, 3), (2, 5), (3, 6), (3, 7), (4, 7)):
+        for _ in range(25):
+            f, g = _random_elem(rng, k, n), _random_elem(rng, k, n)
+            assert multiply(f, g) == _apoly_route_multiply(f, g), (f, g)
+
+
+def test_multiply_rejects_exponents_past_the_field_width(monkeypatch):
+    """At (1,2), s[1] s[1] = a1*s[]: a coefficient product of degree 6
+    gives a1^7, which fits 3-bit fields, and degree 7 is a ValueError,
+    whichever factor carries the degree."""
+    monkeypatch.setattr(quotient, "_W", 3)
+    clear_caches()
+    try:
+        a1, s1 = APoly.gen(1), QuotElem.basis(1, 2, (1,))
+        assert multiply(s1 * a1 ** 6, s1).render() == "a1^7*s[]"
+        assert multiply(s1 * a1 ** 3, s1 * a1 ** 3).render() == "a1^7*s[]"
+        for f, g in ((s1 * a1 ** 7, s1), (s1 * a1 ** 3, s1 * a1 ** 4),
+                     (s1, s1 * (a1 ** 7 + 1))):
+            with pytest.raises(ValueError, match="does not fit"):
+                multiply(f, g)
+    finally:
+        clear_caches()
 
 
 # -- Pieri --------------------------------------------------------------------
@@ -532,10 +613,12 @@ def test_s3_scan_checks_duality_in_the_unit_triples(monkeypatch):
     """Doubling every product keeps the six reads of each triple equal, so
     only duality, [s_omega](s_beta s_gamma) = 1 exactly when beta is the
     complement of gamma, catches it: in the unit triples ((), beta,
-    complement(beta)), one per unordered pair {beta, complement(beta)}."""
+    complement(beta)), one per unordered pair {beta, complement(beta)}.
+    A row holds (e, c, e, c, ...) tuples, so only the ints c are doubled."""
     build = quotient._build_product
     monkeypatch.setattr(quotient, "_basis_product", lambda k, n, lam, mu: {
-        nu: c * 2 for nu, c in build(k, n, lam, mu).items()})
+        nu: tuple(x * 2 if i % 2 else x for i, x in enumerate(flat))
+        for nu, flat in build(k, n, lam, mu).items()})
     report = s3_report(2, 4)
     assert not report["ok"] and report["triples"] == 56
     assert report["counterexamples"] == [
