@@ -29,14 +29,14 @@ diagonal blocks, the a = 0 (classical) blocks.
 from functools import lru_cache
 from itertools import groupby
 
-from .apoly import APoly, add_product, polys_of
+from .apoly import APoly
 from .partitions import (
-    check_in_box, check_partition, cmp_graded_dominance,
+    check_context, check_in_box, check_partition, cmp_graded_dominance,
     cmp_size_antidominance, conjugate, enumerate_pkn,
     horizontal_strip_extensions, pad, partitions_in_rect, size, GREATER,
 )
 from .quotient import (
-    QuotElem, _parallel_map, check_context, straighten_combination,
+    QuotElem, _parallel_map, _straighten_sum, straighten_combination,
 )
 from .tableaux import kostka
 
@@ -48,22 +48,22 @@ def _check_indexing(k, n, lam):
 
 def _h_rule(k, lam, r):
     """Pieri: s_lam h_r is the sum of s_mu over the horizontal r-strips
-    mu/lam with at most k rows, as (sign, mu) pairs."""
-    return ((1, mu) for mu in horizontal_strip_extensions(
+    mu/lam with at most k rows, as (mu, sign) pairs."""
+    return ((mu, 1) for mu in horizontal_strip_extensions(
         lam, r, k, (lam[0] if lam else 0) + r))
 
 
 def _e_rule(k, lam, r):
     """Dual Pieri: s_lam e_r is the sum of s_mu over the vertical r-strips
     mu/lam with at most k rows (the conjugates of the horizontal r-strips
-    on lam^t of width at most k), as (sign, mu) pairs."""
-    return ((1, conjugate(mu)) for mu in horizontal_strip_extensions(
+    on lam^t of width at most k), as (mu, sign) pairs."""
+    return ((conjugate(mu), 1) for mu in horizontal_strip_extensions(
         conjugate(lam), r, (lam[0] if lam else 0) + 1, k))
 
 
 def _p_rule(k, lam, r):
     """Murnaghan-Nakayama: s_lam p_r is the sum of s_{lam + r e_i} over
-    i = 1..k, as the nonzero (sign, mu) of their straightening, in i order.
+    i = 1..k, as the nonzero (mu, sign) of their straightening, in i order.
     beta = lam + (k-1, ..., 0) decreases strictly; adding r to beta_i
     vanishes when beta_i + r is already an entry of beta, and otherwise
     moves it left past the j entries it now exceeds, with sign (-1)^j: mu
@@ -80,7 +80,7 @@ def _p_rule(k, lam, r):
             t -= 1
         mu = (lam[:t] + (v - (k - 1 - t),)
               + tuple(p + 1 for p in lam[t:i]) + lam[i + 1:])
-        yield -1 if (i - t) % 2 else 1, mu[:k - mu.count(0)]
+        yield mu[:k - mu.count(0)], -1 if (i - t) % 2 else 1
 
 
 # family -> (the parts of the index lam, the rule of one part)
@@ -92,16 +92,22 @@ def _times_one_part(elem, r, rule):
     """elem times the one-part function of index r: rule on each Schur term,
     then one straightening of the sum."""
     k, n = elem.context
-    sums = {}
-    for lam, c in elem.terms.items():
-        for sign, mu in rule(k, lam, r):
-            add_product(sums.setdefault(mu, {}), c, sign)
-    return straighten_combination(k, n, polys_of(sums))
+    return _straighten_sum(k, n, ((c, rule(k, lam, r))
+                                  for lam, c in elem.terms.items()))
 
 
-def _one_part_product(k, n, lam, family):
-    """The family member of the box partition lam: the class of 1 times the
-    one-part function of each part of its index in turn."""
+FAMILIES = ("h", "m", "e", "p", "ht")
+
+
+def family_element(k, n, lam, family):
+    """The class of the family member indexed by lam; for a product family,
+    the class of 1 times the one-part function of each part of its index in
+    turn."""
+    if family == "m":
+        return expand_m(k, n, lam)
+    if family not in _ONE_PART:
+        raise ValueError(
+            f"unknown family {family!r} (expected one of {FAMILIES})")
     index, rule = _ONE_PART[family]
     out = QuotElem.one(k, n)
     for r in index(_check_indexing(k, n, lam)):
@@ -111,12 +117,12 @@ def _one_part_product(k, n, lam, family):
 
 def expand_h(k, n, lam):
     """Class of h_lam = h_{lam_1} h_{lam_2} ... for lam in the box."""
-    return _one_part_product(k, n, lam, "h")
+    return family_element(k, n, lam, "h")
 
 
 def expand_h_conj(k, n, lam):
     """Class of h_{lam^t} for lam in the box."""
-    return _one_part_product(k, n, lam, "ht")
+    return family_element(k, n, lam, "ht")
 
 
 @lru_cache(maxsize=None)
@@ -162,7 +168,7 @@ def s_in_m(k, n, lam):
 def expand_e_conj(k, n, lam):
     """Class of e_{lam^t} = e_{(lam^t)_1} e_{(lam^t)_2} ... for lam in the
     box."""
-    return _one_part_product(k, n, lam, "e")
+    return family_element(k, n, lam, "e")
 
 
 def power_sum_class(k, n, r):
@@ -177,25 +183,7 @@ def power_sum_class(k, n, r):
 
 def expand_p(k, n, lam):
     """Class of p_lam = p_{lam_1} p_{lam_2} ... for lam in the box."""
-    return _one_part_product(k, n, lam, "p")
-
-
-_EXPANDERS = {"h": expand_h, "m": expand_m, "e": expand_e_conj,
-              "p": expand_p, "ht": expand_h_conj}
-FAMILIES = tuple(_EXPANDERS)
-
-
-def _expander(family):
-    """The expander of the named family (ValueError for an unknown name)."""
-    if family not in _EXPANDERS:
-        raise ValueError(
-            f"unknown family {family!r} (expected one of {FAMILIES})")
-    return _EXPANDERS[family]
-
-
-def family_element(k, n, lam, family):
-    """The class of the family member indexed by lam."""
-    return _expander(family)(k, n, lam)
+    return family_element(k, n, lam, "p")
 
 
 def _family_terms(k, n, family):

@@ -24,10 +24,10 @@ import sys
 from .apoly import parse_specialization
 from .bases import FAMILIES, basis_table, family_element
 from .grobner import normal_form, parse_xpoly
-from .partitions import check_partition
+from .partitions import check_context, check_partition
 from .quotient import (
-    QuotElem, check_context, multiply, pieri_h, positivity_scan, render_terms,
-    s3_report, specialize_elem, straighten_schur,
+    QuotElem, multiply, pieri_h, positivity_scan, render_terms, s3_report,
+    specialize_elem, straighten_schur,
 )
 
 _PARTITION_RE = re.compile(r"\[(?:\d+(?:,\d+)*)?\]")

@@ -26,11 +26,15 @@ has |e| <= |mu| // (n-k+1), since deg a_j = n-k+j, and larger inputs are a
 ValueError.  The memo of each s_mu is a flat (key, c, key, c, ...) tuple;
 APoly coefficients are built only when a result leaves the accumulator.
 
-The product table keeps each s[lam] * s[mu] as one row {packed nu: (e, c,
-e, c, ...)}: the packed nu is the low k*b bits of a key, each e the key
-shifted right past them (field 0, |e|, kept), and the (e, c) pairs of one nu
-come in ascending e.  Two coefficients are then equal exactly when their
-tuples are, and an APoly is built only when a coefficient leaves the table.
+Products follow Bertram, Ciocan-Fontanine and Fulton (J. Algebra, 1999):
+expand in k variables by the Littlewood-Richardson rule, then straighten
+the sum once; ``multiply`` does so for any two elements.  The product table
+keeps each s[lam] * s[mu] of two basis classes as one row {packed nu: (e,
+c, e, c, ...)} for the reads of g(alpha, beta, gamma): the packed nu is the
+low k*b bits of a key, each e the key shifted right past them (field 0,
+|e|, kept), and the (e, c) pairs of one nu come in ascending e.  Two
+coefficients are then equal exactly when their tuples are, and an APoly is
+built only when a coefficient leaves the table.
 """
 
 import os
@@ -277,11 +281,12 @@ def _build_product(k, n, lam, mu):
 
 
 # The product table: one row {packed nu: (e, c, e, c, ...)} per ordered
-# pair, cached on the pair, so commutativity is computed, not assumed.
-# Every caller reads the same cached row in place and must not modify it;
-# an APoly is built only when a coefficient leaves (_coeff).  The
+# pair, cached on the pair, so commutativity is computed, not assumed.  It
+# serves the reads of g(alpha, beta, gamma), structure_constant and the S3
+# scan; every caller reads the same cached row in place and must not modify
+# it, and an APoly is built only when a coefficient leaves (_coeff).  The
 # positivity scan, which reads each product once, reads _packed_product
-# instead.
+# instead, and multiply straightens its LR expansions without the table.
 _basis_product = lru_cache(maxsize=None)(_build_product)
 
 
@@ -291,30 +296,26 @@ def _coeff(flat):
     return poly_of({_fields(e >> _W, _W): c for e, c in zip(it, it)})
 
 
+def _straighten_sum(k, n, terms):
+    """The class of sum c * m * s_nu over the (c, expansion) pairs of terms,
+    each expansion an iterable of (nu, m) with int m and nu of at most k
+    parts: summed by nu first, then straightened once."""
+    sums = {}
+    for c, expansion in terms:
+        for nu, m in expansion:
+            add_product(sums.setdefault(nu, {}), c, m)
+    return straighten_combination(k, n, polys_of(sums))
+
+
 def multiply(f, g):
-    """The product of two elements: c_f * c_g * s[lam] * s[mu] summed into
-    one packed accumulator, each monomial of c_f * c_g one integer added to
-    the exponents of the row."""
+    """The product of two elements: c_f * c_g times the LR expansion of
+    s[lam] * s[mu] in k variables, summed over the pairs of terms and
+    straightened once."""
     f._check_same(g)
     k, n = f.context
-    shift = k * (n - k).bit_length()
-    acc = {}
-    get = acc.get
-    for lam, cf in f.terms.items():
-        for mu, cg in g.terms.items():
-            c = cf * cg
-            # every exponent of the row has |e| <= (|lam| + |mu|) // (n-k+1)
-            _check_degree(max(map(sum, c.terms))
-                          + (size(lam) + size(mu)) // (n - k + 1))
-            row = _basis_product(k, n, lam, mu).items()
-            for e, cm in c.terms.items():
-                m = _monomial_key(e, 0)
-                for nu, flat in row:
-                    it = iter(flat)
-                    for er, cr in zip(it, it):
-                        key = nu + ((er + m) << shift)
-                        acc[key] = get(key, 0) + cr * cm
-    return f._new(_unpack(k, n, acc))
+    return _straighten_sum(k, n, (
+        (cf * cg, schur_product_expand(lam, mu, k).items())
+        for lam, cf in f.terms.items() for mu, cg in g.terms.items()))
 
 
 def structure_constant(k, n, alpha, beta, gamma):

@@ -265,7 +265,7 @@ def test_one_part_rules_are_products_in_k_variables():
                 for name, (rule, factor) in ONE_PART_RULES.items():
                     for r in range(1, 5):
                         total = XPoly.zero(k)
-                        for sign, mu in rule(k, lam, r):
+                        for mu, sign in rule(k, lam, r):
                             total = total + schur_xpoly(mu, k) * sign
                         want = schur_xpoly(lam, k) * factor(r, k)
                         assert total == want, (k, lam, name, r)
@@ -279,8 +279,9 @@ def test_p_rule_matches_straightening_each_vector():
         for lam in enumerate_pkn(k, k + 6):
             padded = pad(lam, k)
             for r in range(1, 12):
-                want = [res for i in range(k) if (res := straighten_vector(
-                    padded[:i] + (padded[i] + r,) + padded[i + 1:]))]
+                want = [res[::-1] for i in range(k) if (
+                    res := straighten_vector(
+                        padded[:i] + (padded[i] + r,) + padded[i + 1:]))]
                 assert list(bases._p_rule(k, lam, r)) == want, (k, lam, r)
                 cases += 1
     assert cases == 18865

@@ -335,6 +335,23 @@ def test_multiply_general_coefficients_matches_the_apoly_route():
             assert multiply(f, g) == _apoly_route_multiply(f, g), (f, g)
 
 
+def test_multiply_reads_no_product_table():
+    """multiply straightens the LR expansion of each pair of terms, so
+    products of basis classes and of general elements leave the product
+    table empty."""
+    rng = random.Random(20)
+    clear_caches()
+    for k, n in ((2, 5), (3, 7), (4, 8)):
+        box = enumerate_pkn(k, n)
+        pairs = [(QuotElem.basis(k, n, lam), QuotElem.basis(k, n, mu))
+                 for lam, mu in rng.sample(list(product(box, box)), 10)]
+        pairs += [(_random_elem(rng, k, n), _random_elem(rng, k, n))
+                  for _ in range(5)]
+        for f, g in pairs:
+            assert multiply(f, g) == _apoly_route_multiply(f, g), (f, g)
+    assert _basis_product.cache_info().currsize == 0
+
+
 def test_multiply_rejects_exponents_past_the_field_width(monkeypatch):
     """At (1,2), s[1] s[1] = a1*s[]: a coefficient product of degree 6
     gives a1^7, which fits 3-bit fields, and degree 7 is a ValueError,
