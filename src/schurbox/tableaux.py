@@ -1,14 +1,16 @@
 """Tableau counting: Kostka numbers and Littlewood-Richardson coefficients.
 
-Two deliberately different algorithms coexist here.  ``_lr_tableaux``
+One algorithm counts Littlewood-Richardson tableaux here.  ``_lr_walk``
 fills one skew shape lam/mu cell by cell, straight from the definition of
-lattice skew tableaux, and counts the fillings by content: the whole skew
-expansion, which ``skew_schur_expand``, ``lr_coefficient`` and
-``quotient.pieri_h`` read (the last in place, never changing it).
-``schur_product_expand`` counts chains of horizontal strips with
-ballot-sequence bookkeeping, producing a whole product expansion
-s_mu * s_nu = sum_lam c_{mu,nu}^lam s_lam in one pass.  The tests check
-the routes against each other and against exact polynomial multiplication.
+lattice skew tableaux, and counts the fillings by content.  On lam/mu it
+gives the skew expansion, which ``skew_schur_expand``, ``lr_coefficient``
+and ``quotient.pieri_h`` read through the cache ``_lr_tableaux`` (the last
+in place, never changing it).  On the shape nu * mu, nu set above and to
+the right of mu, with every value capped at k, it gives the product
+expansion s_mu * s_nu = s_{nu * mu} = sum_lam c_{mu,nu}^lam s_lam in k
+variables (Macdonald, Symmetric Functions and Hall Polynomials, I.5), which
+``schur_product_expand`` returns.  The tests check the walk against a
+strip-chain product expander and against exact polynomial multiplication.
 """
 
 from functools import lru_cache
@@ -42,15 +44,17 @@ def kostka(lam, mu):
     return total
 
 
-@lru_cache(maxsize=None)
-def _lr_tableaux(lam, mu):
-    """{nu: c_{mu,nu}^lam} for mu inside lam: the semistandard fillings of
-    lam/mu whose reverse reading word (rows top to bottom, each read right
-    to left) is a lattice word, counted by content.  The cells are filled in
-    that order, backtracking by cell index."""
+def _lr_walk(lam, mu, top):
+    """{nu: count} over the semistandard fillings of lam/mu with values at
+    most top whose reverse reading word (rows top to bottom, each read right
+    to left) is a lattice word, counted by content nu.  The cells are filled
+    in that order, backtracking by cell index.  With top = len(lam), which
+    no lattice filling exceeds, the counts are c_{mu,nu}^lam: the skew
+    expansion.  On a disconnected shape a * b (a above and right of b) with
+    top = k they are the product s_a s_b in k variables."""
     rows, n = len(lam), sum(lam) - sum(mu)
     mu_p = pad(mu, rows)
-    # Per cell, the fill slots of its upper bound (right neighbour, else rows
+    # Per cell, the fill slots of its upper bound (right neighbour, else top
     # in slot n + 1) and strict lower bound (cell above, else 0 in slot n).
     cells = []
     for r in range(rows):
@@ -59,7 +63,7 @@ def _lr_tableaux(lam, mu):
             cells.append((i - 1 if c + 1 < lam[r] else n + 1,
                           i - lam[r] + mu_p[r - 1]
                           if r and c >= mu_p[r - 1] else n))
-    fill = [0] * (n + 1) + [rows]
+    fill = [0] * (n + 1) + [top]
     # counts[v] counts the v's placed, a partition for a lattice word, so no
     # v past its first 0 fits; 0 marks an empty cell, inf lets every 1 in.
     counts = [float("inf")] + [0] * (rows + 1)
@@ -85,6 +89,14 @@ def _lr_tableaux(lam, mu):
     return out
 
 
+@lru_cache(maxsize=None)
+def _lr_tableaux(lam, mu):
+    """{nu: c_{mu,nu}^lam} for mu inside lam: the whole skew expansion, the
+    walk with no cap below len(lam).  Products call the walk directly and
+    stay out of this cache."""
+    return _lr_walk(lam, mu, len(lam))
+
+
 def lr_coefficient(lam, mu, nu):
     """The Littlewood-Richardson coefficient c_{mu,nu}^{lam}: the number of
     lattice fillings of the skew shape lam/mu with content nu."""
@@ -94,81 +106,10 @@ def lr_coefficient(lam, mu, nu):
     return _lr_tableaux(lam, mu).get(nu, 0)
 
 
-def _strips(shape, bounds, boxes, cap):
-    """The horizontal strips of the given number of boxes on shape (a
-    padded partition) with at most bounds[r] boxes in rows 0..r, as states
-    new shape + next bounds.  The next strip, of cap boxes, may put in rows
-    0..r at most as many boxes as this one put in rows 0..r-1 (the ballot
-    condition); its bounds are capped at cap, and a strip after which it
-    cannot fit is dropped."""
-    last = len(shape) - 1
-    out = []
-    new, placed_to = list(shape), [0] * len(shape)
-
-    def rec(row, placed):
-        remaining = boxes - placed
-        if not remaining:
-            placed_to[row:] = [placed] * (last + 1 - row)
-            # the next strip has no box in row 0, so rows 1.. must hold it
-            if cap <= (placed_to[last - 1] if last else 0) and \
-                    cap <= new[0] - new[last]:
-                out.append(tuple(new + [0] + [b if b < cap else cap
-                                              for b in placed_to[:-1]]))
-            return
-        # A row as long as the row above takes no box: step past it.
-        while row and shape[row - 1] == shape[row]:
-            if remaining > shape[row] - shape[last]:
-                return
-            placed_to[row] = placed
-            row += 1
-        # A row takes at most the old length of the row above it, so the
-        # rows below this one hold at most shape[row] - shape[-1] boxes.
-        hi = bounds[row] - placed
-        if row and shape[row - 1] - shape[row] < hi:
-            hi = shape[row - 1] - shape[row]
-        if remaining < hi:
-            hi = remaining
-        lo = remaining - shape[row] + shape[last]
-        for add in range(hi, (lo if lo > 0 else 0) - 1, -1):
-            new[row] = shape[row] + add
-            placed_to[row] = placed + add
-            rec(row + 1, placed + add)
-        new[row] = shape[row]
-
-    rec(0, 0)
-    return out
-
-
-def _chain_products(mu, nu, max_len):
-    """Expand s_mu * s_nu as {lam: count} over partitions lam with at most
-    max_len parts, by growing mu with horizontal strips of sizes nu_1,
-    nu_2, ... subject to the ballot condition: after placing value t, the
-    number of t's in rows 1..i never exceeds the number of (t-1)'s in rows
-    1..i-1.  A forward pass over {shape + ballot bounds: chains}: chains
-    reaching the same state are counted together.  A bound is capped at the
-    size of the strip it limits, so the last strip's states merge on shape
-    alone."""
-    # A state is one tuple, the padded shape and then the bounds (fewer
-    # objects than a pair of tuples); the first strip has no ballot bound.
-    states = {pad(mu, max_len) + (sum(nu),) * max_len: 1}
-    for i, boxes in enumerate(nu):
-        cap = nu[i + 1] if i + 1 < len(nu) else 0
-        advanced = {}
-        for state, count in states.items():
-            for key in _strips(state[:max_len], state[max_len:], boxes, cap):
-                advanced[key] = advanced.get(key, 0) + count
-        states = advanced
-    out = {}
-    for state, count in states.items():
-        lam = state[:max_len - state[:max_len].count(0)]
-        out[lam] = out.get(lam, 0) + count
-    return out
-
-
 def schur_product_expand(mu, nu, k):
     """The multiset {lam: c_{mu,nu}^{lam}} over partitions lam with at most
-    k parts.  Partitions needing more than k rows are dropped (they vanish
-    in k variables)."""
+    k parts: the walk on nu * mu with every value at most k, which drops
+    the partitions needing more than k rows (they vanish in k variables)."""
     mu, nu = check_partition(mu), check_partition(nu)
     if len(mu) > k or len(nu) > k:
         raise ValueError(f"factors must have at most k={k} parts")
@@ -176,7 +117,8 @@ def schur_product_expand(mu, nu, k):
         return {mu: 1}
     if sum(mu) == 0:
         return {nu: 1}
-    return _chain_products(mu, nu, k)
+    # nu on top, shifted past mu_1, and mu below it: s_{nu * mu} = s_mu s_nu
+    return _lr_walk(tuple(mu[0] + p for p in nu) + mu, (mu[0],) * len(nu), k)
 
 
 def skew_schur_expand(lam, mu):

@@ -337,8 +337,8 @@ def test_multiply_general_coefficients_matches_the_apoly_route():
 
 def test_multiply_reads_no_product_table():
     """multiply straightens the LR expansion of each pair of terms, so
-    products of basis classes and of general elements leave the product
-    table empty."""
+    products of basis classes and of general elements, and a positivity
+    scan, leave the product table and the skew-shape LR cache empty."""
     rng = random.Random(20)
     clear_caches()
     for k, n in ((2, 5), (3, 7), (4, 8)):
@@ -349,7 +349,10 @@ def test_multiply_reads_no_product_table():
                   for _ in range(5)]
         for f, g in pairs:
             assert multiply(f, g) == _apoly_route_multiply(f, g), (f, g)
+    positivity_scan(3, 6)
     assert _basis_product.cache_info().currsize == 0
+    # products walk nu * mu uncached: the skew-shape cache stays empty
+    assert tableaux._lr_tableaux.cache_info().currsize == 0
 
 
 def test_multiply_rejects_exponents_past_the_field_width(monkeypatch):

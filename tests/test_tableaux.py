@@ -1,7 +1,10 @@
-"""Kostka and Littlewood-Richardson counting, checked three ways: the
-cellwise lattice-word counter, the strip-chain product expander, and exact
-polynomial arithmetic in Z[x_1..x_k]."""
+"""Kostka and Littlewood-Richardson counting.  The package's one LR
+algorithm, the cellwise lattice-word walk, gives skew expansions and (on
+the shape nu * mu, values capped at k) products.  It is checked against
+the strip-chain product expander kept here, an independent second LR
+algorithm, and against exact polynomial arithmetic in Z[x_1..x_k]."""
 
+import random
 from itertools import product
 
 import pytest
@@ -32,6 +35,81 @@ def schur_decompose(p, k):
         c = const_value(p.terms[mono])
         out[lam] = c
         p = p - schur_xpoly(lam, k) * c
+    return out
+
+
+# -- the strip-chain oracle -------------------------------------------------------
+# A second Littlewood-Richardson algorithm, independent of the package's
+# walk: chains of horizontal strips under the ballot condition.
+
+def _strips(shape, bounds, boxes, cap):
+    """The horizontal strips of the given number of boxes on shape (a
+    padded partition) with at most bounds[r] boxes in rows 0..r, as states
+    new shape + next bounds.  The next strip, of cap boxes, may put in rows
+    0..r at most as many boxes as this one put in rows 0..r-1 (the ballot
+    condition); its bounds are capped at cap, and a strip after which it
+    cannot fit is dropped."""
+    last = len(shape) - 1
+    out = []
+    new, placed_to = list(shape), [0] * len(shape)
+
+    def rec(row, placed):
+        remaining = boxes - placed
+        if not remaining:
+            placed_to[row:] = [placed] * (last + 1 - row)
+            # the next strip has no box in row 0, so rows 1.. must hold it
+            if cap <= (placed_to[last - 1] if last else 0) and \
+                    cap <= new[0] - new[last]:
+                out.append(tuple(new + [0] + [b if b < cap else cap
+                                              for b in placed_to[:-1]]))
+            return
+        # A row as long as the row above takes no box: step past it.
+        while row and shape[row - 1] == shape[row]:
+            if remaining > shape[row] - shape[last]:
+                return
+            placed_to[row] = placed
+            row += 1
+        # A row takes at most the old length of the row above it, so the
+        # rows below this one hold at most shape[row] - shape[-1] boxes.
+        hi = bounds[row] - placed
+        if row and shape[row - 1] - shape[row] < hi:
+            hi = shape[row - 1] - shape[row]
+        if remaining < hi:
+            hi = remaining
+        lo = remaining - shape[row] + shape[last]
+        for add in range(hi, (lo if lo > 0 else 0) - 1, -1):
+            new[row] = shape[row] + add
+            placed_to[row] = placed + add
+            rec(row + 1, placed + add)
+        new[row] = shape[row]
+
+    rec(0, 0)
+    return out
+
+
+def _chain_products(mu, nu, max_len):
+    """Expand s_mu * s_nu as {lam: count} over partitions lam with at most
+    max_len parts, by growing mu with horizontal strips of sizes nu_1,
+    nu_2, ... subject to the ballot condition: after placing value t, the
+    number of t's in rows 1..i never exceeds the number of (t-1)'s in rows
+    1..i-1.  A forward pass over {shape + ballot bounds: chains}: chains
+    reaching the same state are counted together.  A bound is capped at the
+    size of the strip it limits, so the last strip's states merge on shape
+    alone."""
+    # A state is one tuple, the padded shape and then the bounds (fewer
+    # objects than a pair of tuples); the first strip has no ballot bound.
+    states = {pad(mu, max_len) + (sum(nu),) * max_len: 1}
+    for i, boxes in enumerate(nu):
+        cap = nu[i + 1] if i + 1 < len(nu) else 0
+        advanced = {}
+        for state, count in states.items():
+            for key in _strips(state[:max_len], state[max_len:], boxes, cap):
+                advanced[key] = advanced.get(key, 0) + count
+        states = advanced
+    out = {}
+    for state, count in states.items():
+        lam = state[:max_len - state[:max_len].count(0)]
+        out[lam] = out.get(lam, 0) + count
     return out
 
 
@@ -130,16 +208,38 @@ def test_two_lr_routes_agree(mu, nu):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_two_lr_routes_agree_on_every_box_pair(k):
-    """Every ordered pair in the k x 3 box: the strip-chain expansion is
-    exactly the nonzero lr_coefficient values over all lam with at most k
-    parts (lam_1 <= mu_1 + nu_1, as for every Littlewood-Richardson
-    coefficient)."""
+    """Every ordered pair in the k x 3 box: the product expansion is exactly
+    the strip chain's, and exactly the nonzero lr_coefficient values over
+    all lam with at most k parts (lam_1 <= mu_1 + nu_1, as for every
+    Littlewood-Richardson coefficient)."""
     box = enumerate_pkn(k, k + 3)
     for mu, nu in product(box, repeat=2):
-        d, width = size(mu) + size(nu), sum(mu[:1] + nu[:1])
-        want = {lam: c for lam in _partitions_of(d, k, width)
-                if (c := lr_coefficient(lam, mu, nu))}
+        want = _chain_products(mu, nu, k)
         assert schur_product_expand(mu, nu, k) == want, (mu, nu)
+        d, width = size(mu) + size(nu), sum(mu[:1] + nu[:1])
+        assert want == {lam: c for lam in _partitions_of(d, k, width)
+                        if (c := lr_coefficient(lam, mu, nu))}, (mu, nu)
+
+
+def test_products_match_the_strip_chain_on_every_pair_at_4_8():
+    box = enumerate_pkn(4, 8)
+    for mu, nu in product(box, repeat=2):
+        assert schur_product_expand(mu, nu, 4) == \
+            _chain_products(mu, nu, 4), (mu, nu)
+
+
+@pytest.mark.parametrize("k, n", [(5, 10), (6, 12)])
+def test_products_match_the_strip_chain_where_the_cap_binds(k, n):
+    """200 seeded random box pairs with len(mu) + len(nu) > k: the shape
+    nu * mu has more than k rows, so capping the values at k drops
+    contents."""
+    rng = random.Random(k * 100 + n)
+    box = [lam for lam in enumerate_pkn(k, n) if lam]
+    for _ in range(200):
+        mu = rng.choice(box)
+        nu = rng.choice([lam for lam in box if len(lam) + len(mu) > k])
+        assert schur_product_expand(mu, nu, k) == \
+            _chain_products(mu, nu, k), (mu, nu)
 
 
 @given(small_partitions(), small_partitions())
@@ -239,7 +339,7 @@ def test_skew_expansion_matches_the_strip_chain_on_every_box_pair(k):
         if contains(lam, mu):
             want = {nu: c for nu in box
                     if contains(lam, nu) and size(mu) + size(nu) == size(lam)
-                    and (c := schur_product_expand(mu, nu, len(lam)).get(lam))}
+                    and (c := _chain_products(mu, nu, len(lam)).get(lam))}
             assert skew_schur_expand(lam, mu) == want, (lam, mu)
 
 
