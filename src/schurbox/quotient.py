@@ -23,18 +23,16 @@ nu, part i in bits i*b to i*b + b - 1; above them, in _W-bit fields, field
 0 holds |e| and field j holds e_j.  Multiplying by a monomial is one integer
 addition.  An exponent never reaches 2**_W: every term of the class of s_mu
 has |e| <= |mu| // (n-k+1), since deg a_j = n-k+j, and larger inputs are a
-ValueError.  The memo of each s_mu is a flat (key, c, key, c, ...) tuple;
-APoly coefficients are built only when a result leaves the accumulator.
+ValueError.  The memo of each s_mu is a flat (key, c, key, c, ...) tuple.
+Sums enter the accumulator only as (c, expansion) pairs and leave it only
+as rows {packed nu: (e, c, e, c, ...)}: the packed nu is the low k*b bits
+of a key, each e the key shifted right past them (field 0, |e|, kept), in
+ascending e, so two coefficients are equal exactly when their tuples are.
 
 Products follow Bertram, Ciocan-Fontanine and Fulton (J. Algebra, 1999):
 expand in k variables by the Littlewood-Richardson rule, then straighten
-the sum once; ``multiply`` does so for any two elements.  The product table
-keeps each s[lam] * s[mu] of two basis classes as one row {packed nu: (e,
-c, e, c, ...)} for the reads of g(alpha, beta, gamma): the packed nu is the
-low k*b bits of a key, each e the key shifted right past them (field 0,
-|e|, kept), and the (e, c) pairs of one nu come in ascending e.  Two
-coefficients are then equal exactly when their tuples are, and an APoly is
-built only when a coefficient leaves the table.
+the sum once (``multiply`` and the family steps of ``bases``).  Only the
+S3 scan keeps the rows of basis products, in the product table.
 """
 
 import os
@@ -185,7 +183,7 @@ def _straighten(k, n, mu):
     _check_degree(size(mu) // (n - k + 1))
     if in_box(mu, k, n):
         return (_pack(k, n, mu), 1)
-    step = {}
+    step = []
     mu_p = pad(mu, k)
     vectors = [(-n,)]
     for r in Counter(mu_p[1:]).values():
@@ -200,45 +198,69 @@ def _straighten(k, n, mu):
         # recurse from this frame, not from _accumulate's, so a rim hook
         # costs one frame of depth; _accumulate then reads the memo
         _straighten(k, n, lam)
-        step[lam] = APoly.gen(j) * (sgn * (-1 if (k - j) % 2 else 1))
+        step.append((APoly.gen(j) * (sgn * (-1 if (k - j) % 2 else 1)),
+                     ((lam, 1),)))
     return tuple(chain.from_iterable(_accumulate(k, n, step).items()))
 
 
-def _accumulate(k, n, combination):
-    """sum_mu c_mu s_mu straightened, for a dict {mu: c_mu} of int or APoly
-    coefficients, as {packed key: nonzero int}; a zero c_mu is skipped
-    without straightening mu."""
+def _accumulate(k, n, terms):
+    """sum c * m * s_nu straightened, as {packed key: nonzero int}, over the
+    (c, expansion) pairs of terms: c is an int or an APoly, each expansion
+    an iterable of (nu, m) with int m.  Each c is packed once per pair, and
+    its degree plus each nu's bound is checked against the exponent fields;
+    a zero c is skipped without straightening its expansion."""
     shift = k * (n - k).bit_length()
     acc = {}
     get = acc.get
-    for mu, c in combination.items():
+    for c, expansion in terms:
         if not c:
             continue
-        flat = _straighten(k, n, mu)
         if isinstance(c, int):
-            monos = ((0, c),)
+            deg, monos = 0, ((0, c),)
         else:
-            _check_degree(max(map(sum, c.terms)) + size(mu) // (n - k + 1))
+            deg = max(map(sum, c.terms))
             monos = [(_monomial_key(e, shift), ce)
                      for e, ce in c.terms.items()]
-        for m, ce in monos:
-            it = iter(flat)
-            for key, ci in zip(it, it):
-                key += m
-                acc[key] = get(key, 0) + ci * ce
+        for nu, m in expansion:
+            if deg:
+                _check_degree(deg + size(nu) // (n - k + 1))
+            flat = _straighten(k, n, nu)
+            for mono, ce in monos:
+                cm = ce * m
+                it = iter(flat)
+                for key, ci in zip(it, it):
+                    key += mono
+                    acc[key] = get(key, 0) + ci * cm
     return {key: c for key, c in acc.items() if c}
 
 
+def _rows(k, n, packed):
+    """The rows {packed nu: (e, c, e, c, ...)} of a packed accumulator, the
+    pairs of each nu in ascending e (its keys are nu + (e << k*b))."""
+    shift = k * (n - k).bit_length()
+    mask = (1 << shift) - 1
+    row = {}
+    for key, c in sorted(packed.items()):
+        row.setdefault(key & mask, []).extend((key >> shift, c))
+    return {nu: tuple(flat) for nu, flat in row.items()}
+
+
+def _coeff(flat):
+    """A new APoly of a row coefficient (e, c, e, c, ...)."""
+    it = iter(flat)
+    return poly_of({_fields(e >> _W, _W): c for e, c in zip(it, it)})
+
+
 def _unpack(k, n, packed):
-    """{nu: APoly} of a packed accumulator."""
+    """{nu: new APoly} of a packed accumulator, read from its rows."""
     b = (n - k).bit_length()
-    shift = k * b
-    mask, skip = (1 << shift) - 1, shift + _W
-    sums = {}
-    for key, c in packed.items():
-        sums.setdefault(_fields(key & mask, b), {})[
-            _fields(key >> skip, _W)] = c
-    return polys_of(sums)
+    return {_fields(nu, b): _coeff(flat)
+            for nu, flat in _rows(k, n, packed).items()}
+
+
+def _straighten_sum(k, n, terms):
+    """The class of the sum of the (c, expansion) pairs of _accumulate."""
+    return QuotElem._trusted((k, n), _unpack(k, n, _accumulate(k, n, terms)))
 
 
 def straighten_schur(k, n, mu):
@@ -257,54 +279,28 @@ def straighten_combination(k, n, combination):
     is skipped without straightening its partition.  Every coefficient of
     the result is a new APoly."""
     context = check_context(k, n)
-    return QuotElem._trusted(context,
-                             _unpack(k, n, _accumulate(k, n, combination)))
+    # _accumulate itself, not _straighten_sum: a frame less under a wide mu
+    return QuotElem._trusted(context, _unpack(k, n, _accumulate(
+        k, n, ((c, ((mu, 1),)) for mu, c in combination.items()))))
 
 
 # -- multiplication ----------------------------------------------------------
 
 def _packed_product(k, n, lam, mu):
     """s[lam] * s[mu] for box partitions lam, mu, packed."""
-    return _accumulate(k, n, schur_product_expand(lam, mu, k))
+    return _accumulate(k, n, ((1, schur_product_expand(lam, mu, k).items()),))
 
 
 def _build_product(k, n, lam, mu):
-    """s[lam] * s[mu] for box partitions lam, mu, as a new row {packed nu:
-    (e, c, e, c, ...)} with the pairs of each nu in ascending e: the packed
-    keys are sorted once, and a key is nu + (e << k*b)."""
-    shift = k * (n - k).bit_length()
-    mask = (1 << shift) - 1
-    row = {}
-    for key, c in sorted(_packed_product(k, n, lam, mu).items()):
-        row.setdefault(key & mask, []).extend((key >> shift, c))
-    return {nu: tuple(flat) for nu, flat in row.items()}
+    """s[lam] * s[mu] for box partitions lam, mu, as a new row (_rows)."""
+    return _rows(k, n, _packed_product(k, n, lam, mu))
 
 
-# The product table: one row {packed nu: (e, c, e, c, ...)} per ordered
-# pair, cached on the pair, so commutativity is computed, not assumed.  It
-# serves the reads of g(alpha, beta, gamma), structure_constant and the S3
-# scan; every caller reads the same cached row in place and must not modify
-# it, and an APoly is built only when a coefficient leaves (_coeff).  The
-# positivity scan, which reads each product once, reads _packed_product
-# instead, and multiply straightens its LR expansions without the table.
+# The product table: one row per ordered pair, cached on the pair, so
+# commutativity is computed, not assumed.  Only the S3 scan reads it, many
+# times per row and in place, so a row must not be modified;
+# structure_constant and the positivity scan build their rows uncached.
 _basis_product = lru_cache(maxsize=None)(_build_product)
-
-
-def _coeff(flat):
-    """A new APoly of a row coefficient (e, c, e, c, ...)."""
-    it = iter(flat)
-    return poly_of({_fields(e >> _W, _W): c for e, c in zip(it, it)})
-
-
-def _straighten_sum(k, n, terms):
-    """The class of sum c * m * s_nu over the (c, expansion) pairs of terms,
-    each expansion an iterable of (nu, m) with int m and nu of at most k
-    parts: summed by nu first, then straightened once."""
-    sums = {}
-    for c, expansion in terms:
-        for nu, m in expansion:
-            add_product(sums.setdefault(nu, {}), c, m)
-    return straighten_combination(k, n, polys_of(sums))
 
 
 def multiply(f, g):
@@ -321,12 +317,12 @@ def multiply(f, g):
 def structure_constant(k, n, alpha, beta, gamma):
     """g(alpha, beta, gamma) = coeff of s[complement(gamma)] in
     s[alpha] * s[beta]; symmetric in all three arguments.  Returns a new
-    APoly, built from the row of the product table."""
+    APoly, read from a row built for this call, not from the table."""
     check_context(k, n)
     alpha, beta, gamma = (check_partition(p) for p in (alpha, beta, gamma))
     for p in (alpha, beta, gamma):
         check_in_box(p, k, n)
-    return _coeff(_basis_product(k, n, alpha, beta).get(
+    return _coeff(_build_product(k, n, alpha, beta).get(
         _pack(k, n, complement(gamma, k, n)), ()))
 
 

@@ -322,6 +322,34 @@ def test_family_terms_rows_match_family_element():
                         (k, n, family, lam)
 
 
+def grassmannian_member(k, n, lam, family):
+    """Oracle: the family member in H*(Gr(k,n)), the quotient at a = 0, as
+    {mu: int}: the one-part rules folded over integer dicts from the unit,
+    then every shape with mu_1 > n-k dropped, since those s_mu are zero
+    there (Macdonald I.3)."""
+    index, rule = bases._ONE_PART[family]
+    out = {(): 1}
+    for r in index(lam):
+        step = {}
+        for mu, c in out.items():
+            for nu, m in rule(k, mu, r):
+                step[nu] = step.get(nu, 0) + c * m
+        out = {mu: c for mu, c in step.items() if c}
+    return {mu: c for mu, c in out.items() if not mu or mu[0] <= n - k}
+
+
+def test_family_terms_at_a_zero_are_the_grassmannian_members():
+    # the a-free part of each coefficient, against the fold at a = 0
+    for n in range(2, 10):
+        for k in range(1, n):
+            for family in ("h", "e", "p", "ht"):
+                basis, rows = bases._family_terms(k, n, family)
+                for lam, row in zip(basis, rows):
+                    assert grassmannian_member(k, n, lam, family) == {
+                        mu: c.terms[()] for mu, c in row.items()
+                        if () in c.terms}, (k, n, family, lam)
+
+
 # -- classification ----------------------------------------------------------------
 
 def test_classify_known_cells():

@@ -337,8 +337,9 @@ def test_multiply_general_coefficients_matches_the_apoly_route():
 
 def test_multiply_reads_no_product_table():
     """multiply straightens the LR expansion of each pair of terms, so
-    products of basis classes and of general elements, and a positivity
-    scan, leave the product table and the skew-shape LR cache empty."""
+    products of basis classes and of general elements, a positivity scan
+    and the structure constants, which read an uncached row, leave the
+    product table and the skew-shape LR cache empty."""
     rng = random.Random(20)
     clear_caches()
     for k, n in ((2, 5), (3, 7), (4, 8)):
@@ -350,6 +351,9 @@ def test_multiply_reads_no_product_table():
         for f, g in pairs:
             assert multiply(f, g) == _apoly_route_multiply(f, g), (f, g)
     positivity_scan(3, 6)
+    box = enumerate_pkn(2, 5)
+    for alpha, beta, gamma in product(box, repeat=3):
+        structure_constant(2, 5, alpha, beta, gamma)
     assert _basis_product.cache_info().currsize == 0
     # products walk nu * mu uncached: the skew-shape cache stays empty
     assert tableaux._lr_tableaux.cache_info().currsize == 0
@@ -596,7 +600,8 @@ def _corrupt_product(monkeypatch, pair, nu, fn):
             return acc
         table = quotient._unpack(k, n, acc)
         table[nu] = fn(table.get(nu, APoly.const(0)))
-        return quotient._accumulate(k, n, table)
+        return quotient._accumulate(
+            k, n, ((c, ((shape, 1),)) for shape, c in table.items()))
 
     monkeypatch.setattr(quotient, "_packed_product", corrupted)
     monkeypatch.setattr(quotient, "_basis_product", quotient._build_product)
@@ -795,6 +800,15 @@ def test_straighten_combination_drops_cancelled_terms():
     result = straighten_combination(1, 2, {(3,): 1, (1,): -APoly.gen(1)})
     assert result == QuotElem.zero(1, 2)
     assert result.terms == {}
+    # the pairs of one sum meet on the out-of-box partition (3,): they are
+    # summed in one accumulator, not straightened apart
+    result = quotient._straighten_sum(
+        1, 2, [(1, [((3,), 1)]), (-1, [((3,), 1)])])
+    assert result == QuotElem.zero(1, 2)
+    assert result.terms == {}
+    a1 = APoly.gen(1)
+    assert quotient._straighten_sum(1, 2, [(a1, [((3,), 1)])] * 2) == \
+        straighten_combination(1, 2, {(3,): 2 * a1})
 
 
 def test_clear_caches_empties_every_cache():
