@@ -101,7 +101,7 @@ def _scan_output(report, fmt, noun, found, line):
     """Print a scan report as JSON, or as a summary line and one line(item)
     per item found; exit status 1 when anything was found."""
     if fmt == "json":
-        print(json.dumps(report, default=_jsonable))
+        print(json.dumps(report))
     else:
         print(f"k={report['k']} n={report['n']}: checked {report[noun]} "
               f"{noun}, {len(report[found])} {found}")
@@ -149,12 +149,6 @@ def cmd_basis_table(args):
         row = [f"{_cell_text(*table[(k, n)]):>{width}}" for k in range(1, n)]
         print(f"{n:>3} " + " ".join(row))
     return 0
-
-
-def _jsonable(obj):
-    if isinstance(obj, tuple):
-        return list(obj)
-    raise TypeError(f"not JSON serializable: {obj!r}")
 
 
 def _add_context_args(sub):

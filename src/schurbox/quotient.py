@@ -31,8 +31,9 @@ ascending e, so two coefficients are equal exactly when their tuples are.
 
 Products follow Bertram, Ciocan-Fontanine and Fulton (J. Algebra, 1999):
 expand in k variables by the Littlewood-Richardson rule, then straighten
-the sum once (``multiply`` and the family steps of ``bases``).  Only the
-S3 scan keeps the rows of basis products, in the product table.
+the sum once (``multiply`` and the family steps of ``bases``).  No product
+is cached: the S3 scan holds the rows s[alpha] * s[y] of one alpha at a
+time.
 """
 
 import os
@@ -291,16 +292,10 @@ def _packed_product(k, n, lam, mu):
     return _accumulate(k, n, ((1, schur_product_expand(lam, mu, k).items()),))
 
 
-def _build_product(k, n, lam, mu):
-    """s[lam] * s[mu] for box partitions lam, mu, as a new row (_rows)."""
-    return _rows(k, n, _packed_product(k, n, lam, mu))
-
-
-# The product table: one row per ordered pair, cached on the pair, so
-# commutativity is computed, not assumed.  Only the S3 scan reads it, many
-# times per row and in place, so a row must not be modified;
-# structure_constant and the positivity scan build their rows uncached.
-_basis_product = lru_cache(maxsize=None)(_build_product)
+def _product_row(k, n, expansion):
+    """The product of two box classes, as a new row (_rows), from its LR
+    expansion in k variables."""
+    return _rows(k, n, _accumulate(k, n, ((1, expansion.items()),)))
 
 
 def multiply(f, g):
@@ -317,13 +312,13 @@ def multiply(f, g):
 def structure_constant(k, n, alpha, beta, gamma):
     """g(alpha, beta, gamma) = coeff of s[complement(gamma)] in
     s[alpha] * s[beta]; symmetric in all three arguments.  Returns a new
-    APoly, read from a row built for this call, not from the table."""
+    APoly, read from a row built for this call."""
     check_context(k, n)
     alpha, beta, gamma = (check_partition(p) for p in (alpha, beta, gamma))
     for p in (alpha, beta, gamma):
         check_in_box(p, k, n)
-    return _coeff(_build_product(k, n, alpha, beta).get(
-        _pack(k, n, complement(gamma, k, n)), ()))
+    row = _product_row(k, n, schur_product_expand(alpha, beta, k))
+    return _coeff(row.get(_pack(k, n, complement(gamma, k, n)), ()))
 
 
 # -- Pieri rule --------------------------------------------------------------
@@ -388,56 +383,65 @@ def s3_report(k, n, jobs=1):
     () (drawn first in the scan's order), the duality value 1 if beta =
     complement(gamma) else 0, which checks duality on every ordered pair.
     Duality makes g(alpha, beta, gamma) the coefficient of s[omega] in the
-    triple product s[alpha] s[beta] s[gamma].  Returns a report dict."""
-    return _scan(k, n, jobs, 3, _s3_triple, "triples", "counterexamples")
+    triple product s[alpha] s[beta] s[gamma].  The failing triples are
+    found through the generators (12) and (23) of S3, one slab of rows per
+    alpha, and only they are read six times.  Returns a report dict."""
+    box = enumerate_pkn(*check_context(k, n))
+    flagged = set(chain.from_iterable(_parallel_map(
+        partial(_s3_slab, k, n), range(len(box)), len(box), jobs)))
+    bad = []
+    # sorted index triples come in combinations_with_replacement order
+    for i, j, l in sorted(flagged):
+        triple = alpha, beta, gamma = box[i], box[j], box[l]
+        values = [structure_constant(k, n, *p) for p in permutations(triple)]
+        if alpha:
+            want = values[0]
+        else:
+            want = ONE if beta == complement(gamma, k, n) else ZERO
+        bad.append({"alpha": alpha, "beta": beta, "gamma": gamma,
+                    "permuted": [v.render() for v in values],
+                    "expected": want.render()})
+    return {"k": k, "n": n, "triples": comb(len(box) + 2, 3), "ok": not bad,
+            "counterexamples": bad}
 
 
-@lru_cache(maxsize=None)
-def _complements(k, n):
-    """{lam: packed complement(lam)} over the box, the row key of
-    g(., ., lam); built once per context (and per scan worker process)."""
-    return {lam: _pack(k, n, complement(lam, k, n))
-            for lam in enumerate_pkn(k, n)}
-
-
-def _s3_triple(k, n, triple):
-    """The six reads of the triple compared as row tuples; an APoly is built
-    only to render a counterexample."""
-    alpha, beta, gamma = triple
-    comp = _complements(k, n)
-    values = [_basis_product(k, n, x, y).get(comp[z], ())
-              for x, y, z in permutations(triple)]
-    if alpha:
-        want = values[0]
-    else:
-        want = (0, 1) if beta == complement(gamma, k, n) else ()
-    if values.count(want) == 6:
-        return []
-    return [{
-        "alpha": alpha, "beta": beta, "gamma": gamma,
-        "permuted": [_coeff(v).render() for v in values],
-        "expected": _coeff(want).render(),
-    }]
+def _s3_slab(k, n, i):
+    """The failing triples of the slab of rows s[alpha] * s[y], alpha =
+    box[i], as sorted index triples {i, j, l}: g(alpha, y, z) != g(alpha,
+    z, y); g(alpha, y, z) != g(y, alpha, z) for y after alpha, where s[y] *
+    s[alpha] is built only if its LR expansion differs, as a row is a
+    function of its expansion; and g((), y, z) off the duality value."""
+    box = enumerate_pkn(k, n)
+    alpha = box[i]
+    comp = [_pack(k, n, complement(z, k, n)) for z in box]
+    rows, bad = [], set()
+    for j, y in enumerate(box):
+        expansion = schur_product_expand(alpha, y, k)
+        rows.append(_product_row(k, n, expansion))
+        if j > i and expansion != (other := schur_product_expand(y, alpha, k)):
+            swapped = _product_row(k, n, other)
+            bad.update((i, j, l) for l, c in enumerate(comp)
+                       if rows[j].get(c) != swapped.get(c))
+    for j, l in combinations_with_replacement(range(len(box)), 2):
+        g = rows[j].get(comp[l], ())
+        if g != rows[l].get(comp[j], ()) or not alpha and g != (
+                (0, 1) if box[j] == complement(box[l], k, n) else ()):
+            bad.add((i, j, l))
+    return [tuple(sorted(t)) for t in bad]
 
 
 def positivity_scan(k, n, jobs=1):
     """Scan every product of two basis classes for the sign-alternation
     pattern: (-1)^{|lam|+|mu|-|nu|} coeff_nu(s[lam] s[mu]), rewritten in the
     variables b_i = (-1)^{n-k-1} a_i, must have nonnegative coefficients.
-    Returns a report dict listing violations (expected none)."""
-    return _scan(k, n, jobs, 2, _positivity_pair, "pairs", "violations")
-
-
-def _scan(k, n, jobs, arity, check, noun, found):
-    """Run check(k, n, item), which returns a list of its findings, on
-    every multiset of arity box partitions, drawn lazily, and keep only the
-    findings: the report is {"k", "n", noun: item count, "ok", found}."""
+    Pairs are drawn lazily and only the violations kept.  Returns a report
+    dict listing violations (expected none)."""
     box = enumerate_pkn(*check_context(k, n))
-    count = comb(len(box) + arity - 1, arity)
+    count = comb(len(box) + 1, 2)
     bad = list(chain.from_iterable(_parallel_map(
-        partial(check, k, n), combinations_with_replacement(box, arity),
+        partial(_positivity_pair, k, n), combinations_with_replacement(box, 2),
         count, jobs)))
-    return {"k": k, "n": n, noun: count, "ok": not bad, found: bad}
+    return {"k": k, "n": n, "pairs": count, "ok": not bad, "violations": bad}
 
 
 def _positivity_pair(k, n, pair):

@@ -5,10 +5,12 @@ symmetry/positivity scans.  Cross-checked against the x-variable reduction
 system wherever both routes exist."""
 
 import json
+import multiprocessing
 import random
 from collections import Counter
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, permutations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +29,7 @@ from schurbox.partitions import (
     straighten_vector,
 )
 from schurbox.quotient import (
-    QuotElem, _basis_product, canonical_order, check_context, multiply,
+    QuotElem, canonical_order, check_context, multiply,
     omega, pieri_h, positivity_scan, reduce_h_overflow, s3_report,
     specialize_elem, straighten_combination, straighten_schur,
     structure_constant,
@@ -304,7 +306,8 @@ def test_product_rows_match_the_apoly_route(k, n):
             want = {quotient._pack(k, n, nu): c for nu, c in
                     _apoly_route_product(k, n, lam, mu).items()}
             for pair in ((lam, mu), (mu, lam)):
-                row = _basis_product(k, n, *pair)
+                row = quotient._product_row(
+                    k, n, schur_product_expand(*pair, k))
                 for flat in row.values():
                     es = flat[::2]
                     assert all(a < b for a, b in zip(es, es[1:])), pair
@@ -339,7 +342,7 @@ def test_multiply_reads_no_product_table():
     """multiply straightens the LR expansion of each pair of terms, so
     products of basis classes and of general elements, a positivity scan
     and the structure constants, which read an uncached row, leave the
-    product table and the skew-shape LR cache empty."""
+    skew-shape LR cache empty."""
     rng = random.Random(20)
     clear_caches()
     for k, n in ((2, 5), (3, 7), (4, 8)):
@@ -354,7 +357,6 @@ def test_multiply_reads_no_product_table():
     box = enumerate_pkn(2, 5)
     for alpha, beta, gamma in product(box, repeat=3):
         structure_constant(2, 5, alpha, beta, gamma)
-    assert _basis_product.cache_info().currsize == 0
     # products walk nu * mu uncached: the skew-shape cache stays empty
     assert tableaux._lr_tableaux.cache_info().currsize == 0
 
@@ -589,9 +591,8 @@ def test_parallel_scans_equal_serial(k, n):
 
 
 def _corrupt_product(monkeypatch, pair, nu, fn):
-    """Make the packed product, which the positivity scan reads and the
-    product table unpacks, hold fn(coefficient) at nu for the ordered pair
-    only; the product table is read uncached, so its cache stays intact."""
+    """Make the packed product, which the positivity scan reads, hold
+    fn(coefficient) at nu for the ordered pair only."""
     packed = quotient._packed_product
 
     def corrupted(k, n, lam, mu):
@@ -604,10 +605,26 @@ def _corrupt_product(monkeypatch, pair, nu, fn):
             k, n, ((c, ((shape, 1),)) for shape, c in table.items()))
 
     monkeypatch.setattr(quotient, "_packed_product", corrupted)
-    monkeypatch.setattr(quotient, "_basis_product", quotient._build_product)
 
 
-# At (2,4), s[2] s[1] = s[2,1] + a1*s[].  Only s[2] s[1] is corrupted, not
+def _corrupt_expansion(monkeypatch, fn):
+    """Make every LR expansion that quotient reads, for the scans' rows and
+    for structure_constant, fn(lam, mu, expansion) for the ordered pair
+    (lam, mu); fn gets a new dict and returns one."""
+    expand = quotient.schur_product_expand
+    monkeypatch.setattr(quotient, "schur_product_expand", lambda lam, mu, k:
+                        fn(lam, mu, dict(expand(lam, mu, k))))
+
+
+def _bump_s3_pair(lam, mu, expansion):
+    """The expansion with S3_NU's multiplicity raised by one for S3_PAIR."""
+    if (lam, mu) == S3_PAIR:
+        expansion[S3_NU] = expansion.get(S3_NU, 0) + 1
+    return expansion
+
+
+# At (2,4), s[2] s[1] = s[3] + s[2,1] in two variables, and s[3] straightens
+# to a1*s[].  Only the expansion of s[2] s[1] is corrupted, not that of
 # s[1] s[2], so commutativity fails.  Its s[2,1] coefficient is g(2, 1, x)
 # for x = complement((2,1)) = (1,), so the one triple that reads it is
 # {1, 1, 2}, in the slots (gamma, alpha) and (gamma, beta).
@@ -628,7 +645,7 @@ UNFLIPPED_PAIR, UNFLIPPED_NU = ((1,), (3,)), ()
 
 
 def test_s3_scan_reports_a_broken_ordered_pair(monkeypatch):
-    _corrupt_product(monkeypatch, S3_PAIR, S3_NU, lambda c: c + 1)
+    _corrupt_expansion(monkeypatch, _bump_s3_pair)
     report = s3_report(2, 4)
     assert not report["ok"] and report["triples"] == 56
     assert report["counterexamples"] == [S3_COUNTEREXAMPLE]
@@ -638,12 +655,9 @@ def test_s3_scan_checks_duality_in_the_unit_triples(monkeypatch):
     """Doubling every product keeps the six reads of each triple equal, so
     only duality, [s_omega](s_beta s_gamma) = 1 exactly when beta is the
     complement of gamma, catches it: in the unit triples ((), beta,
-    complement(beta)), one per unordered pair {beta, complement(beta)}.
-    A row holds (e, c, e, c, ...) tuples, so only the ints c are doubled."""
-    build = quotient._build_product
-    monkeypatch.setattr(quotient, "_basis_product", lambda k, n, lam, mu: {
-        nu: tuple(x * 2 if i % 2 else x for i, x in enumerate(flat))
-        for nu, flat in build(k, n, lam, mu).items()})
+    complement(beta)), one per unordered pair {beta, complement(beta)}."""
+    _corrupt_expansion(monkeypatch, lambda lam, mu, expansion: {
+        nu: 2 * c for nu, c in expansion.items()})
     report = s3_report(2, 4)
     assert not report["ok"] and report["triples"] == 56
     assert report["counterexamples"] == [
@@ -651,6 +665,70 @@ def test_s3_scan_checks_duality_in_the_unit_triples(monkeypatch):
          "permuted": ["2"] * 6, "expected": "1"}
         for beta, gamma in (((), (2, 2)), ((1,), (2, 1)), ((2,), (2,)),
                             ((1, 1), (1, 1)))]
+
+
+def _six_reads_report(k, n):
+    """The S3 report read triple by triple, the oracle of the slab scan:
+    the six values g(., ., .) of each unordered triple, from
+    structure_constant, against g(alpha, beta, gamma), or against the
+    duality value when alpha is the unit class ()."""
+    box = enumerate_pkn(k, n)
+    bad = []
+    for triple in combinations_with_replacement(box, 3):
+        alpha, beta, gamma = triple
+        values = [structure_constant(k, n, *p) for p in permutations(triple)]
+        want = values[0] if alpha else APoly.const(
+            int(beta == complement(gamma, k, n)))
+        if values.count(want) < 6:
+            bad.append({"alpha": alpha, "beta": beta, "gamma": gamma,
+                        "permuted": [v.render() for v in values],
+                        "expected": want.render()})
+    return {"k": k, "n": n, "triples": comb(len(box) + 2, 3), "ok": not bad,
+            "counterexamples": bad}
+
+
+def _random_corruption(rng, k, n):
+    """An fn for _corrupt_expansion, drawn from rng: one shape added to the
+    expansions of one to three ordered pairs, the largest shape dropped
+    from one, one negated, or every expansion doubled."""
+    box = enumerate_pkn(k, n)
+    kind = rng.choice(("add", "drop", "negate", "double"))
+    pairs = {(rng.choice(box), rng.choice(box))
+             for _ in range(rng.randint(1, 3) if kind == "add" else 1)}
+    shape = rng.choice(box + ((n - k + 1,),))
+
+    def corrupt(lam, mu, expansion):
+        if kind == "double":
+            return {nu: 2 * c for nu, c in expansion.items()}
+        if (lam, mu) not in pairs:
+            return expansion
+        if kind == "add":
+            expansion[shape] = expansion.get(shape, 0) + 1
+        elif kind == "drop":
+            del expansion[max(expansion)]
+        else:
+            expansion = {nu: -c for nu, c in expansion.items()}
+        return expansion
+
+    return corrupt
+
+
+@pytest.mark.parametrize("k, n", [(2, 4), (2, 5), (3, 6)])
+def test_s3_scan_matches_the_six_reads_under_corruption(monkeypatch, k, n):
+    """Under seeded corruptions of the LR expansions, the slab scan reports
+    exactly what the six reads of every triple report, serially and with
+    two workers.  The workers see the corruption only when they are forked
+    from this process, so elsewhere only the serial scan is compared."""
+    rng = random.Random(100 * k + n)
+    forked = multiprocessing.get_start_method() == "fork"
+    for _ in range(6):
+        with monkeypatch.context() as m:
+            _corrupt_expansion(m, _random_corruption(rng, k, n))
+            want = _six_reads_report(k, n)
+            assert not want["ok"]
+            assert s3_report(k, n) == want
+            if forked:
+                assert s3_report(k, n, jobs=2) == want
 
 
 def test_positivity_scan_reports_a_flipped_sign(monkeypatch):
@@ -676,7 +754,7 @@ def _cli(capsys, *argv):
 
 
 def test_cli_s3_exits_1_on_a_counterexample(monkeypatch, capsys):
-    _corrupt_product(monkeypatch, S3_PAIR, S3_NU, lambda c: c + 1)
+    _corrupt_expansion(monkeypatch, _bump_s3_pair)
     rc, out = _cli(capsys, "s3", "--k", "2", "--n", "4")
     assert rc == 1
     assert out == (
@@ -713,7 +791,7 @@ def test_results_do_not_alias_the_caches():
     k, n, lam, mu = 2, 4, (2, 1), (2,)
     f, g = QuotElem.basis(k, n, lam), QuotElem.basis(k, n, mu)
     product = dict(multiply(f, g).terms)
-    table = dict(_basis_product(k, n, lam, mu))
+    row = quotient._product_row(k, n, schur_product_expand(lam, mu, k))
     wide = dict(straighten_schur(k, n, (4, 1)).terms)
     # s[2,1] s[2] = s[4,1] + s[3,2]: rebuilt from a fresh straighten of
     # s[4,1], whose result is then mutated, as is the product's
@@ -725,7 +803,8 @@ def test_results_do_not_alias_the_caches():
     assert multiply(f, g).terms == product
     for nu, c in product.items():
         assert structure_constant(k, n, lam, mu, complement(nu, k, n)) == c
-    assert _basis_product(k, n, lam, mu) == table
+    assert quotient._product_row(
+        k, n, schur_product_expand(lam, mu, k)) == row
     assert straighten_schur(k, n, (4, 1)).terms == wide
 
 
@@ -812,8 +891,7 @@ def test_straighten_combination_drops_cancelled_terms():
 
 
 def test_clear_caches_empties_every_cache():
-    caches = (quotient._basis_product, quotient._straighten,
-              quotient._fields, quotient._complements, tableaux._lr_tableaux,
+    caches = (quotient._straighten, quotient._fields, tableaux._lr_tableaux,
               tableaux.kostka, grobner._reduction_tails,
               grobner._schur_monomials, bases._kostka_inverse)
 
