@@ -39,8 +39,8 @@ __version__ = "0.1.0"
 
 def clear_caches():
     """Empty every lru_cache in the package (straightening and the unpacked
-    fields of its keys, LR and Kostka numbers, Groebner data and Kostka
-    inverses; products and box enumerations are not cached).
+    fields of its keys, Kostka numbers and Kostka inverses; products, skew
+    expansions, box enumerations and Groebner data are not cached).
     Every cache is unbounded, so a long-lived caller that moves on from a
     context can call this to free its memory."""
     for module in (apoly, bases, grobner, partitions, quotient, tableaux):

@@ -12,7 +12,6 @@ exponent check.  Monomials are compared degree-lexicographically with
 x_1 > x_2 > ... > x_k.
 """
 
-from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import combinations
 
@@ -123,17 +122,6 @@ def groebner_generators(k, n):
     return tuple(gens)
 
 
-@lru_cache(maxsize=None)
-def _reduction_tails(k, n):
-    """tails[i] = x_i^{n-k+i} - b_i, i.e. what the leading power rewrites to."""
-    tails = []
-    for i, b in enumerate(groebner_generators(k, n), start=1):
-        lead = [0] * k
-        lead[i - 1] = n - k + i
-        tails.append(XPoly.monomial(k, tuple(lead), 1) - b)
-    return tuple(tails)
-
-
 def normal_form(k, n, p):
     """The unique representative of p modulo the ideal supported on monomials
     with every exponent alpha_i < n - k + i.  Rewrites the deglex-largest
@@ -143,7 +131,10 @@ def normal_form(k, n, p):
     if p.k != k:
         raise ValueError(f"polynomial has {p.k} variables, context has {k}")
     bounds = tuple(n - k + i for i in range(1, k + 1))
-    tails = _reduction_tails(k, n)
+    # tails[i] = x_i^{n-k+i} - b_i: what the leading power rewrites to
+    tails = [XPoly.monomial(k, (0,) * i + (bound,) + (0,) * (k - i - 1)) - b
+             for i, (bound, b)
+             in enumerate(zip(bounds, groebner_generators(k, n)))]
     pending, finished, heap = {}, {}, []
 
     def add_term(mono, c, q):
@@ -181,18 +172,12 @@ def monomial_basis(k, n):
 
 
 def schur_xpoly(lam, k):
-    """The Schur polynomial s_lam(x_1, ..., x_k).  Zero when lam has more
-    than k rows.  A new XPoly that the caller owns."""
-    return XPoly._trusted((k,), {
-        m: APoly.const(c)
-        for m, c in _schur_monomials(check_partition(lam), k)})
-
-
-@lru_cache(maxsize=None)
-def _schur_monomials(lam, k):
-    """The (exponent tuple, coefficient) items of s_lam(x_1, ..., x_k) =
-    sum_mu K_{lam,mu} m_mu: the coefficient of x^alpha is the Kostka number
-    of lam and alpha sorted into a partition."""
+    """The Schur polynomial s_lam(x_1, ..., x_k) = sum_mu K_{lam,mu} m_mu:
+    the coefficient of x^alpha is the Kostka number of lam and alpha sorted
+    into a partition.  Zero when lam has more than k rows.  A new XPoly that
+    the caller owns."""
+    lam = check_partition(lam)
     items = ((alpha, kostka(lam, tuple(sorted(alpha, reverse=True))))
              for alpha in compositions(sum(lam), k))
-    return tuple((alpha, c) for alpha, c in items if c)
+    return XPoly._trusted((k,), {alpha: APoly.const(c)
+                                 for alpha, c in items if c})

@@ -51,7 +51,7 @@ from .partitions import (
     enumerate_pkn, horizontal_strip_extensions, in_box, pad, size,
     straighten_vector,
 )
-from .tableaux import _lr_tableaux, schur_product_expand
+from .tableaux import _lr_walk, schur_product_expand
 
 
 def omega(k, n):
@@ -345,7 +345,7 @@ def pieri_h(k, n, lam, j):
         if not contains(lam, hook):
             break
         coeff_i = APoly.gen(i) * (1 if i % 2 else -1)
-        for nu, c in _lr_tableaux(lam, hook).items():
+        for nu, c in _lr_walk(lam, hook, len(lam)).items():
             add_product(sums.setdefault(nu, {}), coeff_i, c)
     return QuotElem._trusted((k, n), polys_of(sums))
 

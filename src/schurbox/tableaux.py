@@ -3,14 +3,14 @@
 One algorithm counts Littlewood-Richardson tableaux here.  ``_lr_walk``
 fills one skew shape lam/mu cell by cell, straight from the definition of
 lattice skew tableaux, and counts the fillings by content.  On lam/mu it
-gives the skew expansion, which ``skew_schur_expand``, ``lr_coefficient``
-and ``quotient.pieri_h`` read through the cache ``_lr_tableaux`` (the last
-in place, never changing it).  On the shape nu * mu, nu set above and to
-the right of mu, with every value capped at k, it gives the product
-expansion s_mu * s_nu = s_{nu * mu} = sum_lam c_{mu,nu}^lam s_lam in k
-variables (Macdonald, Symmetric Functions and Hall Polynomials, I.5), which
-``schur_product_expand`` returns.  The tests check the walk against a
-strip-chain product expander and against exact polynomial multiplication.
+gives the skew expansion, for which ``skew_schur_expand``,
+``lr_coefficient`` and ``quotient.pieri_h`` each call it, uncached.  On the
+shape nu * mu, nu set above and to the right of mu, with every value capped
+at k, it gives the product expansion s_mu * s_nu = s_{nu * mu} = sum_lam
+c_{mu,nu}^lam s_lam in k variables (Macdonald, Symmetric Functions and Hall
+Polynomials, I.5), which ``schur_product_expand`` returns.  The tests check
+the walk against a strip-chain product expander and against exact
+polynomial multiplication.
 """
 
 from functools import lru_cache
@@ -89,21 +89,13 @@ def _lr_walk(lam, mu, top):
     return out
 
 
-@lru_cache(maxsize=None)
-def _lr_tableaux(lam, mu):
-    """{nu: c_{mu,nu}^lam} for mu inside lam: the whole skew expansion, the
-    walk with no cap below len(lam).  Products call the walk directly and
-    stay out of this cache."""
-    return _lr_walk(lam, mu, len(lam))
-
-
 def lr_coefficient(lam, mu, nu):
     """The Littlewood-Richardson coefficient c_{mu,nu}^{lam}: the number of
     lattice fillings of the skew shape lam/mu with content nu."""
     lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
     if sum(mu) + sum(nu) != sum(lam) or not contains(lam, mu):
         return 0
-    return _lr_tableaux(lam, mu).get(nu, 0)
+    return _lr_walk(lam, mu, len(lam)).get(nu, 0)
 
 
 def schur_product_expand(mu, nu, k):
@@ -127,7 +119,7 @@ def skew_schur_expand(lam, mu):
     lam, mu = check_partition(lam), check_partition(mu)
     if not contains(lam, mu):
         return {}
-    return dict(_lr_tableaux(lam, mu))
+    return _lr_walk(lam, mu, len(lam))
 
 
 def uncancelled_pieri(alpha, m):
