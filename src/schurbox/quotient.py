@@ -387,8 +387,9 @@ def s3_report(k, n, jobs=1):
     found through the generators (12) and (23) of S3, one slab of rows per
     alpha, and only they are read six times.  Returns a report dict."""
     box = enumerate_pkn(*check_context(k, n))
+    comp = [_pack(k, n, complement(z, k, n)) for z in box]
     flagged = set(chain.from_iterable(_parallel_map(
-        partial(_s3_slab, k, n), range(len(box)), len(box), jobs)))
+        partial(_s3_slab, k, n, box, comp), range(len(box)), len(box), jobs)))
     bad = []
     # sorted index triples come in combinations_with_replacement order
     for i, j, l in sorted(flagged):
@@ -405,15 +406,15 @@ def s3_report(k, n, jobs=1):
             "counterexamples": bad}
 
 
-def _s3_slab(k, n, i):
+def _s3_slab(k, n, box, comp, i):
     """The failing triples of the slab of rows s[alpha] * s[y], alpha =
     box[i], as sorted index triples {i, j, l}: g(alpha, y, z) != g(alpha,
     z, y); g(alpha, y, z) != g(y, alpha, z) for y after alpha, where s[y] *
     s[alpha] is built only if its LR expansion differs, as a row is a
-    function of its expansion; and g((), y, z) off the duality value."""
-    box = enumerate_pkn(k, n)
+    function of its expansion; and g((), y, z) off the duality value.  box
+    is enumerate_pkn(k, n) and comp[l] the packed key of the complement of
+    box[l], both built once per scan."""
     alpha = box[i]
-    comp = [_pack(k, n, complement(z, k, n)) for z in box]
     rows, bad = [], set()
     for j, y in enumerate(box):
         expansion = schur_product_expand(alpha, y, k)

@@ -4,13 +4,16 @@ One algorithm counts Littlewood-Richardson tableaux here.  ``_lr_walk``
 fills one skew shape lam/mu cell by cell, straight from the definition of
 lattice skew tableaux, and counts the fillings by content.  On lam/mu it
 gives the skew expansion, for which ``skew_schur_expand``,
-``lr_coefficient`` and ``quotient.pieri_h`` each call it, uncached.  On the
-shape nu * mu, nu set above and to the right of mu, with every value capped
-at k, it gives the product expansion s_mu * s_nu = s_{nu * mu} = sum_lam
+``lr_coefficient`` and ``quotient.pieri_h`` each call it, uncached.  It
+also gives the product expansion s_mu * s_nu = s_{nu * mu} = sum_lam
 c_{mu,nu}^lam s_lam in k variables (Macdonald, Symmetric Functions and Hall
-Polynomials, I.5), which ``schur_product_expand`` returns.  The tests check
-the walk against a strip-chain product expander and against exact
-polynomial multiplication.
+Polynomials, I.5), which ``schur_product_expand`` returns.  On the shape
+nu * mu (nu set above and to the right of mu, values capped at k) the rows
+of nu have one lattice filling, row i all i's, and no cell of mu lies below
+a cell of nu.  So the walk fills only the cells of mu, with its counts
+starting at the content nu.  The tests check it against the walk on
+nu * mu, a strip-chain product expander and exact polynomial
+multiplication.
 """
 
 from functools import lru_cache
@@ -44,14 +47,15 @@ def kostka(lam, mu):
     return total
 
 
-def _lr_walk(lam, mu, top):
+def _lr_walk(lam, mu, top, start=()):
     """{nu: count} over the semistandard fillings of lam/mu with values at
     most top whose reverse reading word (rows top to bottom, each read right
-    to left) is a lattice word, counted by content nu.  The cells are filled
-    in that order, backtracking by cell index.  With top = len(lam), which
-    no lattice filling exceeds, the counts are c_{mu,nu}^lam: the skew
-    expansion.  On a disconnected shape a * b (a above and right of b) with
-    top = k they are the product s_a s_b in k variables."""
+    to left) is a lattice word when read after the lattice word of the
+    partition start, counted by content nu (start included).  The cells are
+    filled in that order, backtracking by cell index.  With start = () and
+    top = len(lam), which no lattice filling exceeds, the counts are
+    c_{mu,nu}^lam: the skew expansion.  With mu = () and top = k they are
+    the product s_lam s_start in k variables."""
     rows, n = len(lam), sum(lam) - sum(mu)
     mu_p = pad(mu, rows)
     # Per cell, the fill slots of its upper bound (right neighbour, else top
@@ -64,9 +68,9 @@ def _lr_walk(lam, mu, top):
                           i - lam[r] + mu_p[r - 1]
                           if r and c >= mu_p[r - 1] else n))
     fill = [0] * (n + 1) + [top]
-    # counts[v] counts the v's placed, a partition for a lattice word, so no
+    # counts[v] counts the v's read, a partition for a lattice word, so no
     # v past its first 0 fits; 0 marks an empty cell, inf lets every 1 in.
-    counts = [float("inf")] + [0] * (rows + 1)
+    counts = [float("inf"), *start] + [0] * (rows + 1)
     out = {}
     idx = 0
     while idx >= 0:
@@ -78,8 +82,8 @@ def _lr_walk(lam, mu, top):
         hi_at, lo_at = cells[idx]
         v = fill[idx]
         counts[v] -= 1
-        hi = fill[hi_at]
-        v = max(v, fill[lo_at]) + 1
+        hi, lo = fill[hi_at], fill[lo_at]
+        v = (v if v > lo else lo) + 1
         while v <= hi and counts[v] == counts[v - 1] > 0:
             v += 1
         v = v if v <= hi and counts[v] < counts[v - 1] else 0
@@ -100,8 +104,10 @@ def lr_coefficient(lam, mu, nu):
 
 def schur_product_expand(mu, nu, k):
     """The multiset {lam: c_{mu,nu}^{lam}} over partitions lam with at most
-    k parts: the walk on nu * mu with every value at most k, which drops
-    the partitions needing more than k rows (they vanish in k variables)."""
+    k parts: the walk over the cells of mu, the first factor, with every
+    value at most k and the counts starting at the content nu.  The cap
+    drops the partitions needing more than k rows (they vanish in k
+    variables)."""
     mu, nu = check_partition(mu), check_partition(nu)
     if len(mu) > k or len(nu) > k:
         raise ValueError(f"factors must have at most k={k} parts")
@@ -109,8 +115,7 @@ def schur_product_expand(mu, nu, k):
         return {mu: 1}
     if sum(mu) == 0:
         return {nu: 1}
-    # nu on top, shifted past mu_1, and mu below it: s_{nu * mu} = s_mu s_nu
-    return _lr_walk(tuple(mu[0] + p for p in nu) + mu, (mu[0],) * len(nu), k)
+    return _lr_walk(mu, (), k, nu)
 
 
 def skew_schur_expand(lam, mu):

@@ -1,7 +1,8 @@
 """Kostka and Littlewood-Richardson counting.  The package's one LR
-algorithm, the cellwise lattice-word walk, gives skew expansions and (on
-the shape nu * mu, values capped at k) products.  It is checked against
-the strip-chain product expander kept here, an independent second LR
+algorithm, the cellwise lattice-word walk, gives skew expansions and
+products (the cells of mu, values capped at k, counts starting at nu).  It
+is checked against the walk on the whole shape nu * mu, against the
+strip-chain product expander kept here, an independent second LR
 algorithm, and against exact polynomial arithmetic in Z[x_1..x_k]."""
 
 import random
@@ -16,7 +17,7 @@ from schurbox.partitions import (
     enumerate_pkn, pad, size, horizontal_strip_extensions,
 )
 from schurbox.tableaux import (
-    kostka, lr_coefficient, schur_product_expand, skew_schur_expand,
+    _lr_walk, kostka, lr_coefficient, schur_product_expand, skew_schur_expand,
     uncancelled_pieri,
 )
 from test_apoly import const_value
@@ -228,18 +229,40 @@ def test_products_match_the_strip_chain_on_every_pair_at_4_8():
             _chain_products(mu, nu, 4), (mu, nu)
 
 
+# -- the whole-shape oracle -------------------------------------------------------
+# The product as the walk over every cell of nu * mu, the rows of nu
+# included, rather than over mu's cells with the counts starting at nu.
+
+def _shape_products(mu, nu, k):
+    """s_mu s_nu in k variables: the walk on nu * mu, nu on top shifted
+    past mu_1 and mu below it, with every value at most k."""
+    top = mu[0] if mu else 0
+    return _lr_walk(tuple(top + p for p in nu) + mu, (top,) * len(nu), k)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_products_match_the_whole_shape_walk_on_every_pair(n):
+    """Every ordered pair of box partitions for every k with n <= 8."""
+    for k in range(1, n):
+        box = enumerate_pkn(k, n)
+        for mu, nu in product(box, repeat=2):
+            assert schur_product_expand(mu, nu, k) == \
+                _shape_products(mu, nu, k), (k, n, mu, nu)
+
+
 @pytest.mark.parametrize("k, n", [(5, 10), (6, 12)])
 def test_products_match_the_strip_chain_where_the_cap_binds(k, n):
     """200 seeded random box pairs with len(mu) + len(nu) > k: the shape
     nu * mu has more than k rows, so capping the values at k drops
-    contents."""
+    contents.  Checked against both oracles."""
     rng = random.Random(k * 100 + n)
     box = [lam for lam in enumerate_pkn(k, n) if lam]
     for _ in range(200):
         mu = rng.choice(box)
         nu = rng.choice([lam for lam in box if len(lam) + len(mu) > k])
-        assert schur_product_expand(mu, nu, k) == \
-            _chain_products(mu, nu, k), (mu, nu)
+        got = schur_product_expand(mu, nu, k)
+        assert got == _chain_products(mu, nu, k), (mu, nu)
+        assert got == _shape_products(mu, nu, k), (mu, nu)
 
 
 @given(small_partitions(), small_partitions())
@@ -248,6 +271,16 @@ def test_lr_symmetry_in_factors(mu, nu):
     k = 3
     mu, nu = mu[:k], nu[:k]
     assert schur_product_expand(mu, nu, k) == schur_product_expand(nu, mu, k)
+
+
+@pytest.mark.parametrize("k, n", [(3, 8), (4, 8)])
+def test_lr_symmetry_in_factors_on_every_box_pair(k, n):
+    """The walk fills the first factor's cells, so s_a s_b and s_b s_a are
+    two different fillings; they agree on every ordered pair."""
+    box = enumerate_pkn(k, n)
+    for a, b in product(box, repeat=2):
+        assert schur_product_expand(a, b, k) == \
+            schur_product_expand(b, a, k), (a, b)
 
 
 @given(small_partitions(), small_partitions())
