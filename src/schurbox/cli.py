@@ -128,9 +128,7 @@ def cmd_positivity(args):
 
 
 def _cell_text(verdict, detail):
-    if verdict == "st":
-        return f"st({detail})"
-    return verdict
+    return f"st({detail})" if verdict == "st" else verdict
 
 
 def cmd_basis_table(args):

@@ -32,8 +32,8 @@ ascending e, so two coefficients are equal exactly when their tuples are.
 Products follow Bertram, Ciocan-Fontanine and Fulton (J. Algebra, 1999):
 expand in k variables by the Littlewood-Richardson rule, then straighten
 the sum once (``multiply`` and the family steps of ``bases``).  No product
-is cached: the S3 scan holds the rows s[alpha] * s[y] of one alpha at a
-time.
+is cached: both scans run one slab per first factor alpha, and the S3 scan
+holds the rows s[alpha] * s[y] of one slab at a time.
 """
 
 import os
@@ -366,12 +366,8 @@ def reduce_h_overflow(k, n, m):
 def specialize_elem(f, values):
     """Substitute the a_i; returns {partition: q-polynomial} over the basis
     (zero coefficients dropped)."""
-    out = {}
-    for lam, c in f.terms.items():
-        c2 = c.specialize(values)
-        if c2:
-            out[lam] = c2
-    return out
+    return {lam: c2 for lam, c in f.terms.items()
+            if (c2 := c.specialize(values))}
 
 
 # -- verification scans ------------------------------------------------------
@@ -389,7 +385,7 @@ def s3_report(k, n, jobs=1):
     box = enumerate_pkn(*check_context(k, n))
     comp = [_pack(k, n, complement(z, k, n)) for z in box]
     flagged = set(chain.from_iterable(_parallel_map(
-        partial(_s3_slab, k, n, box, comp), range(len(box)), len(box), jobs)))
+        partial(_s3_slab, k, n, box, comp), range(len(box)), jobs)))
     bad = []
     # sorted index triples come in combinations_with_replacement order
     for i, j, l in sorted(flagged):
@@ -435,47 +431,47 @@ def positivity_scan(k, n, jobs=1):
     """Scan every product of two basis classes for the sign-alternation
     pattern: (-1)^{|lam|+|mu|-|nu|} coeff_nu(s[lam] s[mu]), rewritten in the
     variables b_i = (-1)^{n-k-1} a_i, must have nonnegative coefficients.
-    Pairs are drawn lazily and only the violations kept.  Returns a report
-    dict listing violations (expected none)."""
+    One slab per lam, as in s3_report; only the violations are kept.
+    Returns a report dict listing violations (expected none)."""
     box = enumerate_pkn(*check_context(k, n))
-    count = comb(len(box) + 1, 2)
     bad = list(chain.from_iterable(_parallel_map(
-        partial(_positivity_pair, k, n), combinations_with_replacement(box, 2),
-        count, jobs)))
-    return {"k": k, "n": n, "pairs": count, "ok": not bad, "violations": bad}
+        partial(_positivity_slab, k, n, box), range(len(box)), jobs)))
+    return {"k": k, "n": n, "pairs": comb(len(box) + 1, 2), "ok": not bad,
+            "violations": bad}
 
 
-def _positivity_pair(k, n, pair):
-    """The sign violations in s[lam] * s[mu], read from its packed product,
-    uncached because the scan reads each product once.  In the
-    b-variables, the monomial c*a^e of the s[nu] coefficient has the sign
-    of c, negated when |lam| + |mu| - |nu| is odd, and negated again when
-    flip and |e| is odd.  Both parities are bits of the key: |nu| is odd
-    when an odd number of its parts' fields have their low bit set, and
-    |e| is field 0 of the exponents.  An APoly is built only for a
+def _positivity_slab(k, n, box, i):
+    """The sign violations in s[lam] * s[mu], lam = box[i], for mu in
+    box[i:] (combinations_with_replacement order), each read once from its
+    packed product.  In the b-variables, the monomial c*a^e of the s[nu]
+    coefficient has the sign of c, negated when |lam| + |mu| - |nu| is odd,
+    and again when flip and |e| is odd.  Both parities are bits of the key:
+    |nu| is odd when an odd number of its parts' fields have their low bit
+    set, and |e| is field 0 of the exponents.  An APoly is built only for a
     violating nu."""
-    lam, mu = pair
+    lam = box[i]
     flip = (n - k - 1) % 2
-    base = size(lam) + size(mu)
     b = (n - k).bit_length()
     shift = k * b
     mask = (1 << shift) - 1
     # the low bit of each part's field (none when b = 0), and of |e|'s
-    odd = sum(1 << i for i in range(0, shift, b or 1)) | flip << shift
-    packed = _packed_product(k, n, lam, mu)
-    bad = {key & mask for key, c in packed.items()
-           if (c < 0) != (base + (key & odd).bit_count()) % 2}
-    if not bad:
-        return []
-    found = _unpack(k, n, {key: c for key, c in packed.items()
-                           if key & mask in bad})
+    odd = sum(1 << p for p in range(0, shift, b or 1)) | flip << shift
     out = []
-    for nu, g in sorted(found.items()):
-        poly = -g if (base - size(nu)) % 2 else g
-        if flip:
-            poly = poly.flip_by_degree_parity()
-        out.append({"lam": lam, "mu": mu, "nu": nu,
-                    "in_b_variables": poly.render("b")})
+    for mu in box[i:]:
+        base = size(lam) + size(mu)
+        packed = _packed_product(k, n, lam, mu)
+        bad = {key & mask for key, c in packed.items()
+               if (c < 0) != (base + (key & odd).bit_count()) % 2}
+        if not bad:
+            continue
+        found = _unpack(k, n, {key: c for key, c in packed.items()
+                               if key & mask in bad})
+        for nu, g in sorted(found.items()):
+            poly = -g if (base - size(nu)) % 2 else g
+            if flip:
+                poly = poly.flip_by_degree_parity()
+            out.append({"lam": lam, "mu": mu, "nu": nu,
+                        "in_b_variables": poly.render("b")})
     return out
 
 
@@ -485,19 +481,23 @@ def worker_count(jobs, n_items):
     on (its affinity mask, where the platform has one)."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
     return max(1, min(jobs, cpus, n_items))
 
 
-def _parallel_map(fn, items, count, jobs):
-    """Yield fn(x) for the count items x in order: lazily in this process,
-    or over worker_count(jobs, count) processes when that is more than one."""
-    if (workers := worker_count(jobs, count)) == 1:
+def _parallel_map(fn, items, jobs):
+    """Yield fn(x) for the items x of a sequence, in order: lazily here, or
+    over worker_count(jobs, len(items)) processes when that is more than
+    one.  A worker that dies, as when the kernel kills it for lack of
+    memory, is reported as a MemoryError."""
+    if (workers := worker_count(jobs, len(items))) == 1:
         yield from map(fn, items)
         return
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        yield from ex.map(fn, items, chunksize=max(1, count // (workers * 4)))
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            yield from ex.map(fn, items,
+                              chunksize=max(1, len(items) // (workers * 4)))
+    except BrokenExecutor as exc:
+        raise MemoryError("a worker process died") from exc

@@ -1,7 +1,10 @@
 """The command-line interface: output strings, JSON payloads, exit codes."""
 
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -372,6 +375,29 @@ def test_out_of_memory_exits_3(capsys, monkeypatch):
     assert rc == 3 and out == ""
     assert err == "error: input too deep or too large to compute " \
         "(MemoryError)\n"
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork"
+                    or worker_count(2, 2) < 2,
+                    reason="needs two forked workers, which see the patch")
+def test_dead_worker_exits_3(capsys, monkeypatch):
+    """A worker that exits abruptly, as one the kernel kills for memory,
+    fails the scan with exit code 3, not 1, and no traceback."""
+    monkeypatch.setattr(quotient, "_packed_product", lambda *a: os._exit(1))
+    rc, out, err = run(capsys, "positivity", "--k", "2", "--n", "4",
+                       "--jobs", "2")
+    assert rc == 3 and out == ""
+    assert err == "error: input too deep or too large to compute " \
+        "(MemoryError)\n"
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    """concurrent.futures is imported only when a scan starts workers."""
+    code = "import sys, schurbox.cli; print('concurrent' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    got = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env, timeout=60).stdout
+    assert got == "False\n"
 
 
 # -- determinism ---------------------------------------------------------------------

@@ -555,26 +555,27 @@ def test_scan_counts():
     assert positivity_scan(2, 4)["pairs"] == 21
 
 
-def test_scan_draws_its_items_lazily(monkeypatch):
-    """The first pair is checked after one draw, not after all 21."""
-    want = positivity_scan(2, 4)
-    draw = quotient.combinations_with_replacement
-    check = quotient._positivity_pair
-    drawn, drawn_at_check = [], []
+def test_positivity_scan_expands_each_pair_once_by_slab(monkeypatch):
+    """One slab per first factor, in box order, and the products it expands
+    are the unordered pairs in combinations_with_replacement order."""
+    want = positivity_scan(3, 6)
+    box = enumerate_pkn(3, 6)
+    expand, slab = quotient.schur_product_expand, quotient._positivity_slab
+    expanded, slabs = [], []
 
-    def counting(*args):
-        for item in draw(*args):
-            drawn.append(item)
-            yield item
+    def recording_expand(lam, mu, k):
+        expanded.append((lam, mu))
+        return expand(lam, mu, k)
 
-    def recording(k, n, pair):
-        drawn_at_check.append(len(drawn))
-        return check(k, n, pair)
+    def recording_slab(k, n, box, i):
+        slabs.append(i)
+        return slab(k, n, box, i)
 
-    monkeypatch.setattr(quotient, "combinations_with_replacement", counting)
-    monkeypatch.setattr(quotient, "_positivity_pair", recording)
-    assert positivity_scan(2, 4) == want
-    assert drawn_at_check == list(range(1, 22))
+    monkeypatch.setattr(quotient, "schur_product_expand", recording_expand)
+    monkeypatch.setattr(quotient, "_positivity_slab", recording_slab)
+    assert positivity_scan(3, 6) == want
+    assert expanded == list(combinations_with_replacement(box, 2))
+    assert slabs == list(range(len(box)))
 
 
 @pytest.mark.parametrize("k, n", [(2, 5), (3, 6)])
@@ -730,6 +731,9 @@ def test_positivity_scan_reports_a_flipped_sign(monkeypatch):
     report = positivity_scan(2, 4)
     assert not report["ok"] and report["pairs"] == 21
     assert report["violations"] == [POSITIVITY_VIOLATION]
+    # forked workers see the corruption, and split the pairs by slab
+    if multiprocessing.get_start_method() == "fork":
+        assert positivity_scan(2, 4, jobs=2) == report
 
 
 def test_positivity_scan_unflipped_signs(monkeypatch):
@@ -739,6 +743,8 @@ def test_positivity_scan_unflipped_signs(monkeypatch):
     assert not report["ok"] and report["pairs"] == 55
     assert report["violations"] == [
         {"lam": (1,), "mu": (3,), "nu": (), "in_b_variables": "b1 - b2"}]
+    if multiprocessing.get_start_method() == "fork":
+        assert positivity_scan(2, 5, jobs=2) == report
 
 
 def _cli(capsys, *argv):
