@@ -19,15 +19,15 @@ vectors of V whose summand can be nonzero are listed.
 Straightening sums into one sparse accumulator, {key: int}, with one packed
 int key per term c * a^e * s[nu] (packed exponent vectors, as in Monagan
 and Pearce, CASC 2007).  With b = (n-k).bit_length(), the low k*b bits hold
-nu, part i in bits i*b to i*b + b - 1; above them, in _W-bit fields, field
-0 holds |e| and field j holds e_j.  Multiplying by a monomial is one integer
-addition.  An exponent never reaches 2**_W: every term of the class of s_mu
-has |e| <= |mu| // (n-k+1), since deg a_j = n-k+j, and larger inputs are a
-ValueError.  The memo of each s_mu is a flat (key, c, key, c, ...) tuple.
-Sums enter the accumulator only as (c, expansion) pairs and leave it only
-as rows {packed nu: (e, c, e, c, ...)}: the packed nu is the low k*b bits
-of a key, each e the key shifted right past them (field 0, |e|, kept), in
-ascending e, so two coefficients are equal exactly when their tuples are.
+nu, part i in bits i*b to i*b + b - 1; above them, e_j sits in the _W-bit
+field j-1.  Multiplying by a monomial is one integer addition.  An exponent
+never reaches 2**_W: every term of the class of s_mu has |e| <= |mu| //
+(n-k+1), since deg a_j = n-k+j, and larger inputs are a ValueError.  The
+memo of each s_mu is a flat (key, c, key, c, ...) tuple.  Sums enter the
+accumulator only as (c, expansion) pairs and leave it only as rows {packed
+nu: (e, c, e, c, ...)}: the packed nu is the low k*b bits of a key, each e
+the packed exponents above them, in ascending e, so two coefficients are
+equal exactly when their tuples are.
 
 Products follow Bertram, Ciocan-Fontanine and Fulton (J. Algebra, 1999):
 expand in k variables by the Littlewood-Richardson rule, then straighten
@@ -150,11 +150,9 @@ def _pack(k, n, lam):
 
 
 def _monomial_key(e, shift):
-    """The packed key of the monomial a^e on the empty partition."""
-    key = sum(e)
-    for j, x in enumerate(e, 1):
-        key += x << (j * _W)
-    return key << shift
+    """The packed key of the monomial a^e on the empty partition: e_j in
+    the _W-bit field j-1 above the low shift bits."""
+    return sum(x << (j * _W) for j, x in enumerate(e)) << shift
 
 
 @lru_cache(maxsize=None)
@@ -247,9 +245,10 @@ def _rows(k, n, packed):
 
 
 def _coeff(flat):
-    """A new APoly of a row coefficient (e, c, e, c, ...)."""
+    """A new APoly of a row coefficient (e, c, e, c, ...), each e packed
+    as by _monomial_key."""
     it = iter(flat)
-    return poly_of({_fields(e >> _W, _W): c for e, c in zip(it, it)})
+    return poly_of({_fields(e, _W): c for e, c in zip(it, it)})
 
 
 def _unpack(k, n, packed):
@@ -445,17 +444,19 @@ def _positivity_slab(k, n, box, i):
     box[i:] (combinations_with_replacement order), each read once from its
     packed product.  In the b-variables, the monomial c*a^e of the s[nu]
     coefficient has the sign of c, negated when |lam| + |mu| - |nu| is odd,
-    and again when flip and |e| is odd.  Both parities are bits of the key:
-    |nu| is odd when an odd number of its parts' fields have their low bit
-    set, and |e| is field 0 of the exponents.  An APoly is built only for a
-    violating nu."""
+    and again when flip and |e| is odd.  Both parities come from one rule:
+    a sum of fields is odd when an odd number of them have their low bit
+    set, over the parts' fields of nu and, when flip, the exponent fields.
+    An APoly is built only for a violating nu."""
     lam = box[i]
     flip = (n - k - 1) % 2
     b = (n - k).bit_length()
     shift = k * b
     mask = (1 << shift) - 1
-    # the low bit of each part's field (none when b = 0), and of |e|'s
-    odd = sum(1 << p for p in range(0, shift, b or 1)) | flip << shift
+    # the low bit of each part's field (none when b = 0) and, when flip,
+    # of each exponent's: the key of a_1 * ... * a_k
+    odd = (sum(1 << p for p in range(0, shift, b or 1))
+           | flip * _monomial_key((1,) * k, shift))
     out = []
     for mu in box[i:]:
         base = size(lam) + size(mu)

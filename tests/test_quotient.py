@@ -232,6 +232,17 @@ def test_straighten_rejects_exponents_past_the_field_width(monkeypatch):
         clear_caches()
 
 
+def test_monomial_key_holds_only_the_exponents():
+    """A monomial's packed key holds e_j in field j-1 and nothing else, so
+    it unpacks to e without its trailing zeros."""
+    top = (1 << quotient._W) - 1
+    for k in range(1, 7):
+        for e in product((0, 1, 2, top), repeat=k):
+            want = e[:max((j for j, x in enumerate(e, 1) if x), default=0)]
+            assert quotient._fields(
+                quotient._monomial_key(e, 0), quotient._W) == want, e
+
+
 def test_canonical_order_is_the_box_enumeration():
     rng = random.Random(11)
     for n in range(12):
