@@ -60,9 +60,11 @@ class APoly:
     def __init__(self, terms=None):
         self.terms = {}
         if terms:
+            # exponent tuples that trim alike are summed, as + sums them
             for exps, c in terms.items():
-                if c:
-                    self.terms[_trim(exps)] = c
+                exps = _trim(exps)
+                self.terms[exps] = self.terms.get(exps, 0) + c
+            self.terms = {e: c for e, c in self.terms.items() if c}
 
     # -- constructors ------------------------------------------------------
 
@@ -150,13 +152,6 @@ class APoly:
         """Largest i such that a_i occurs (0 for constants)."""
         return max(map(len, self.terms), default=0)
 
-    def flip_by_degree_parity(self):
-        """Negate every monomial of odd total degree (the substitution
-        a_i -> -a_i for all i)."""
-        p = APoly()
-        p.terms = {e: (-c if sum(e) % 2 else c) for e, c in self.terms.items()}
-        return p
-
     # -- specialization ----------------------------------------------------
 
     def evaluate(self, values):
@@ -213,12 +208,12 @@ class APolyModule:
     k = property(lambda self: self.context[0])
 
     def __init__(self, context, terms=None):
-        self.context, self.terms = context, {}
+        # _key reads the context; keys that check alike sum as + sums them
+        self.context, sums = context, {}
         for key, c in (terms or {}).items():
-            key = self._key(key)
-            c = poly_of(c.terms) if isinstance(c, APoly) else APoly.const(c)
-            if c:
-                self.terms[key] = c
+            c = c if isinstance(c, APoly) else APoly.const(c)
+            add_product(sums.setdefault(self._key(key), {}), c, 1)
+        self.terms = polys_of(sums)
 
     @classmethod
     def _trusted(cls, context, terms):

@@ -55,6 +55,7 @@ def _elem_output(elem, spec_text, fmt):
 
 
 def cmd_straighten(args):
+    check_context(args.k, args.n)
     mu = parse_partition_arg(args.mu)
     if len(mu) > args.k:
         raise ValueError(f"{mu} has more than k={args.k} parts")

@@ -270,18 +270,17 @@ def straighten_schur(k, n, mu):
     mu = check_partition(mu)
     if len(mu) > k:
         return QuotElem.zero(k, n)
-    return straighten_combination(k, n, {mu: 1})
+    return _straighten_sum(k, n, ((1, ((mu, 1),)),))
 
 
 def straighten_combination(k, n, combination):
     """The class of sum_mu c_mu s_mu for a dict {mu: c_mu} of int or APoly
-    coefficients on partitions mu with at most k parts; a zero coefficient
-    is skipped without straightening its partition.  Every coefficient of
-    the result is a new APoly."""
-    context = check_context(k, n)
-    # _accumulate itself, not _straighten_sum: a frame less under a wide mu
-    return QuotElem._trusted(context, _unpack(k, n, _accumulate(
-        k, n, ((c, ((mu, 1),)) for mu, c in combination.items()))))
+    coefficients on partitions mu with at most k parts, by _straighten_sum;
+    a zero coefficient is skipped without straightening its partition.
+    Every coefficient of the result is a new APoly."""
+    check_context(k, n)
+    return _straighten_sum(
+        k, n, ((c, ((mu, 1),)) for mu, c in combination.items()))
 
 
 # -- multiplication ----------------------------------------------------------
@@ -442,12 +441,13 @@ def positivity_scan(k, n, jobs=1):
 def _positivity_slab(k, n, box, i):
     """The sign violations in s[lam] * s[mu], lam = box[i], for mu in
     box[i:] (combinations_with_replacement order), each read once from its
-    packed product.  In the b-variables, the monomial c*a^e of the s[nu]
-    coefficient has the sign of c, negated when |lam| + |mu| - |nu| is odd,
-    and again when flip and |e| is odd.  Both parities come from one rule:
-    a sum of fields is odd when an odd number of them have their low bit
-    set, over the parts' fields of nu and, when flip, the exponent fields.
-    An APoly is built only for a violating nu."""
+    packed product.  Signed and written in the b-variables, the monomial
+    c*a^e of the s[nu] coefficient is c*b^e, negated when |lam| + |mu| -
+    |nu| is odd, and again when flip and |e| is odd.  Both parities come
+    from one rule, for the check and the report alike: a sum of fields is
+    odd when an odd number of them have their low bit set, over the parts'
+    fields of nu and, when flip, the exponent fields.  Only the keys of a
+    violating nu are signed by it and unpacked, into b-polynomials."""
     lam = box[i]
     flip = (n - k - 1) % 2
     b = (n - k).bit_length()
@@ -465,14 +465,12 @@ def _positivity_slab(k, n, box, i):
                if (c < 0) != (base + (key & odd).bit_count()) % 2}
         if not bad:
             continue
-        found = _unpack(k, n, {key: c for key, c in packed.items()
-                               if key & mask in bad})
-        for nu, g in sorted(found.items()):
-            poly = -g if (base - size(nu)) % 2 else g
-            if flip:
-                poly = poly.flip_by_degree_parity()
-            out.append({"lam": lam, "mu": mu, "nu": nu,
-                        "in_b_variables": poly.render("b")})
+        found = _unpack(k, n, {
+            key: -c if (base + (key & odd).bit_count()) % 2 else c
+            for key, c in packed.items() if key & mask in bad})
+        out.extend({"lam": lam, "mu": mu, "nu": nu,
+                    "in_b_variables": g.render("b")}
+                   for nu, g in sorted(found.items()))
     return out
 
 

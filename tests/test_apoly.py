@@ -224,18 +224,10 @@ def test_parse_specialization():
         parse_specialization("a1=q,a1=2", 2)
 
 
-def test_flip_by_degree_parity():
-    p = a1 * a1 - a2 + 3 * a1 - 5
-    flipped = p.flip_by_degree_parity()
-    # same as substituting a_i -> -a_i
-    assert flipped == a1 * a1 + a2 - 3 * a1 - 5
-    assert flipped.flip_by_degree_parity() == p
-
-
-@given(apolys())
-def test_flip_matches_negated_substitution(p):
-    neg = p.specialize([APoly.gen(i) * -1 for i in range(1, 4)])
-    assert p.flip_by_degree_parity() == neg
+def test_constructor_sums_exponents_that_trim_alike():
+    assert APoly({(1,): 2, (1, 0): 3}).terms == {(1,): 5}
+    assert APoly({(1,): 2, (1, 0): -2}).render() == "0"
+    assert APoly({(0, 1): 1, (0, 1, 0, 0): 1, (): -4}).render() == "2*a2 - 4"
 
 
 def test_pickle_round_trip():

@@ -94,6 +94,17 @@ def test_straighten_too_many_parts_is_usage_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("k, mu, message", [
+    ("-1", "[]", "need 0 <= k <= n, got k=-1, n=3"),
+    ("0", "[1]", "quotient contexts need k >= 1"),
+])
+def test_straighten_bad_context_is_named(capsys, k, mu, message):
+    rc, out, err = run(capsys, "straighten", "--k", k, "--n", "3",
+                       "--mu", mu)
+    assert rc == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.fixture
 def three_bit_fields(monkeypatch):
     """Straightening with 3-bit exponent fields, on caches that hold no

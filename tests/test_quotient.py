@@ -758,6 +758,43 @@ def test_positivity_scan_unflipped_signs(monkeypatch):
         assert positivity_scan(2, 5, jobs=2) == report
 
 
+def _positivity_by_substitution(k, n):
+    """The violations that positivity_scan(k, n) must report, found in APoly
+    arithmetic: each product coefficient g times (-1)^{|lam|+|mu|-|nu|},
+    then a_i -> -a_i when n-k-1 is odd; a violation is a coefficient with a
+    negative monomial, rendered in the b-variables."""
+    negated = [-APoly.gen(i) for i in range(1, k + 1)]
+    out = []
+    for lam, mu in combinations_with_replacement(enumerate_pkn(k, n), 2):
+        packed = quotient._packed_product(k, n, lam, mu)
+        for nu, g in sorted(quotient._unpack(k, n, packed).items()):
+            poly = -g if (size(lam) + size(mu) - size(nu)) % 2 else g
+            if (n - k - 1) % 2:
+                poly = poly.specialize(negated)
+            if any(c < 0 for c in poly.terms.values()):
+                out.append({"lam": lam, "mu": mu, "nu": nu,
+                            "in_b_variables": poly.render("b")})
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("k, n", [(2, 4), (2, 5), (3, 6), (3, 7)])
+def test_positivity_report_matches_the_substitution(monkeypatch, k, n, seed):
+    """Random corruptions of random products, both parities of n-k-1: the
+    scan's one parity rule reports what sign and substitution give."""
+    rng = random.Random(seed)
+    box = enumerate_pkn(k, n)
+    for _ in range(6):
+        pair = tuple(sorted(rng.sample(range(len(box)), 2)))
+        m = APoly.monomial([rng.randrange(3) for _ in range(k)],
+                           rng.choice((-2, -1, 1, 2)))
+        _corrupt_product(monkeypatch, (box[pair[0]], box[pair[1]]),
+                         rng.choice(box), rng.choice(
+                             (lambda g: -g, lambda g, m=m: g + m)))
+    want = _positivity_by_substitution(k, n)
+    assert want and positivity_scan(k, n)["violations"] == want
+
+
 def _cli(capsys, *argv):
     rc = main(list(argv))
     return rc, capsys.readouterr().out
@@ -823,6 +860,12 @@ def test_constructor_copies_the_coefficients_it_is_given():
     f = QuotElem(2, 4, {(1,): c})
     c.terms[(1,)] = 5
     assert f.render() == "a1*s[1]"
+
+
+def test_constructor_sums_keys_that_check_alike():
+    assert QuotElem(2, 4, {(1,): 1, (1, 0): 2}).render() == "3*s[1]"
+    a1 = APoly.gen(1)
+    assert QuotElem(2, 4, {(2,): a1, (2, 0): -a1, (): 0}).terms == {}
 
 
 def test_straighten_coefficients_are_not_the_cached_ones():
