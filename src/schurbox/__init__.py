@@ -29,9 +29,8 @@ from .quotient import (
     s3_report, specialize_elem, straighten_schur, structure_constant,
 )
 from .bases import (
-    basis_table, change_of_basis_matrix, classify_family, expand_e_conj,
-    expand_h, expand_h_conj, expand_m, expand_p, power_sum_class, s_in_m,
-    unitriangularity_check,
+    basis_table, change_of_basis_matrix, classify_family, family_element,
+    power_sum_class, s_in_m, unitriangularity_check,
 )
 
 __version__ = "0.1.0"
@@ -54,9 +53,9 @@ __all__ = [
     "classical_specialization", "classify_family", "clear_caches",
     "cmp_graded_dominance", "cmp_size_antidominance", "complement",
     "conjugate", "dominates",
-    "enumerate_pkn", "expand_e_conj", "expand_h", "expand_h_conj", "expand_m",
-    "expand_p", "groebner_generators", "in_box", "kostka", "lr_coefficient",
-    "monomial_basis", "multiply", "normal_form", "omega", "parse_apoly",
+    "enumerate_pkn", "family_element", "groebner_generators", "in_box",
+    "kostka", "lr_coefficient", "monomial_basis", "multiply", "normal_form",
+    "omega", "parse_apoly",
     "parse_specialization", "parse_xpoly", "pieri_h", "positivity_scan",
     "power_sum_class", "quantum_specialization", "reduce_h_overflow",
     "s3_report", "s_in_m", "schur_product_expand", "schur_xpoly",

@@ -62,6 +62,8 @@ class APoly:
         if terms:
             # exponent tuples that trim alike are summed, as + sums them
             for exps, c in terms.items():
+                if not isinstance(c, int):
+                    raise ValueError(f"coefficient {c!r} is not an integer")
                 exps = _trim(exps)
                 self.terms[exps] = self.terms.get(exps, 0) + c
             self.terms = {e: c for e, c in self.terms.items() if c}
@@ -146,37 +148,23 @@ class APoly:
             out = out * self
         return out
 
-    # -- queries -----------------------------------------------------------
-
-    def max_index(self):
-        """Largest i such that a_i occurs (0 for constants)."""
-        return max(map(len, self.terms), default=0)
-
     # -- specialization ----------------------------------------------------
 
-    def evaluate(self, values):
-        """The value at a_i = values[i-1]: a plain int when every value is an
-        int, otherwise an APoly (values may be APolys, typically polynomials
-        in the single symbol q).  Raises ValueError if the polynomial
-        mentions a generator beyond the list."""
-        if self.max_index() > len(values):
-            raise ValueError(
-                f"polynomial uses a{self.max_index()} but only "
-                f"{len(values)} values were supplied")
-        total = 0
+    def specialize(self, values):
+        """A new APoly: the value at a_i = values[i-1], values being ints or
+        APolys (typically polynomials in the single symbol q).  Raises
+        ValueError if the polynomial mentions a generator beyond the list."""
+        used = max(map(len, self.terms), default=0)
+        if used > len(values):
+            raise ValueError(f"polynomial uses a{used} but only "
+                             f"{len(values)} values were supplied")
+        total = APoly()
         for e, c in self.terms.items():
-            term = c
             for i, power in enumerate(e):
                 if power:
-                    term = term * values[i] ** power
-            total = total + term
+                    c = c * values[i] ** power
+            total = total + c
         return total
-
-    def specialize(self, values):
-        """Substitute values[i-1] for a_i, as evaluate() does, but always
-        return an APoly."""
-        value = self.evaluate(values)
-        return value if isinstance(value, APoly) else APoly.const(value)
 
     # -- canonical text form -----------------------------------------------
 
@@ -211,7 +199,11 @@ class APolyModule:
         # _key reads the context; keys that check alike sum as + sums them
         self.context, sums = context, {}
         for key, c in (terms or {}).items():
-            c = c if isinstance(c, APoly) else APoly.const(c)
+            if isinstance(c, int):
+                c = APoly.const(c)
+            elif not isinstance(c, APoly):
+                raise ValueError(
+                    f"coefficient {c!r} is not an integer or an APoly")
             add_product(sums.setdefault(self._key(key), {}), c, 1)
         self.terms = polys_of(sums)
 

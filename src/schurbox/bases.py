@@ -31,8 +31,8 @@ from itertools import groupby
 
 from .apoly import APoly
 from .partitions import (
-    check_context, check_in_box, check_partition, cmp_graded_dominance,
-    cmp_size_antidominance, conjugate, enumerate_pkn,
+    bounded_partitions, check_context, check_in_box, check_partition,
+    cmp_graded_dominance, cmp_size_antidominance, conjugate, enumerate_pkn,
     horizontal_strip_extensions, pad, partitions_in_rect, size, GREATER,
 )
 from .quotient import (
@@ -55,10 +55,11 @@ def _h_rule(k, lam, r):
 
 def _e_rule(k, lam, r):
     """Dual Pieri: s_lam e_r is the sum of s_mu over the vertical r-strips
-    mu/lam with at most k rows (the conjugates of the horizontal r-strips
-    on lam^t of width at most k), as (mu, sign) pairs."""
-    return ((conjugate(mu), 1) for mu in horizontal_strip_extensions(
-        conjugate(lam), r, (lam[0] if lam else 0) + 1, k))
+    mu/lam with at most k rows (every row grows by at most one), as
+    (mu, sign) pairs."""
+    lam = pad(lam, k)
+    return ((mu, 1) for mu in bounded_partitions(
+        size(lam) + r, [p + 1 for p in lam], lam))
 
 
 def _p_rule(k, lam, r):
@@ -100,11 +101,16 @@ FAMILIES = ("h", "m", "e", "p", "ht")
 
 
 def family_element(k, n, lam, family):
-    """The class of the family member indexed by lam; for a product family,
-    the class of 1 times the one-part function of each part of its index in
-    turn."""
+    """The class of the member indexed by lam (in the box) of the family h,
+    m, e, p or ht (see the module docstring).  For a product family, the
+    class of 1 times the one-part function of each part of its index in
+    turn; for m, the row of lam in the exact inverse of its stratum's Kostka
+    matrix, m_lam = sum_j inv[lam][j] s_{mu_j}, every mu_j already in the
+    box."""
     if family == "m":
-        return expand_m(k, n, lam)
+        lam = _check_indexing(k, n, lam)
+        stratum, inv = _kostka_inverse(k, n, size(lam))
+        return QuotElem(k, n, dict(zip(stratum, inv[stratum.index(lam)])))
     if family not in _ONE_PART:
         raise ValueError(
             f"unknown family {family!r} (expected one of {FAMILIES})")
@@ -113,16 +119,6 @@ def family_element(k, n, lam, family):
     for r in index(_check_indexing(k, n, lam)):
         out = _times_one_part(out, r, rule)
     return out
-
-
-def expand_h(k, n, lam):
-    """Class of h_lam = h_{lam_1} h_{lam_2} ... for lam in the box."""
-    return family_element(k, n, lam, "h")
-
-
-def expand_h_conj(k, n, lam):
-    """Class of h_{lam^t} for lam in the box."""
-    return family_element(k, n, lam, "ht")
 
 
 @lru_cache(maxsize=None)
@@ -144,15 +140,6 @@ def _kostka_inverse(k, n, d):
     return stratum, tuple(tuple(row) for row in inv)
 
 
-def expand_m(k, n, lam):
-    """Class of the monomial symmetric polynomial m_lam for lam in the box,
-    via exact inversion of the stratum Kostka matrix: m_lam =
-    sum_j inv[lam][j] s_{mu_j}, every mu_j already in the box."""
-    lam = _check_indexing(k, n, lam)
-    stratum, inv = _kostka_inverse(k, n, size(lam))
-    return QuotElem(k, n, dict(zip(stratum, inv[stratum.index(lam)])))
-
-
 def s_in_m(k, n, lam):
     """The forward expansion s[lam] = sum_mu K_{lam,mu} m[mu]; nonzero
     entries land inside the box automatically (dominated by lam)."""
@@ -165,12 +152,6 @@ def s_in_m(k, n, lam):
     return out
 
 
-def expand_e_conj(k, n, lam):
-    """Class of e_{lam^t} = e_{(lam^t)_1} e_{(lam^t)_2} ... for lam in the
-    box."""
-    return family_element(k, n, lam, "e")
-
-
 def power_sum_class(k, n, r):
     """Class of the power sum p_r (r >= 1), via its hook expansion
     p_r = sum_{j=0}^{min(r,k)-1} (-1)^j s_{(r-j, 1^j)}."""
@@ -179,11 +160,6 @@ def power_sum_class(k, n, r):
         raise ValueError("power sum index must be >= 1")
     return straighten_combination(k, n, {
         (r - j,) + (1,) * j: -1 if j % 2 else 1 for j in range(min(r, k))})
-
-
-def expand_p(k, n, lam):
-    """Class of p_lam = p_{lam_1} p_{lam_2} ... for lam in the box."""
-    return family_element(k, n, lam, "p")
 
 
 def _family_terms(k, n, family):
@@ -214,7 +190,7 @@ def change_of_basis_matrix(k, n, family):
 
 
 # family -> (row source, the order each row must descend in)
-_TRIANGULAR = {"h": (lambda k, n, lam: expand_h(k, n, lam).terms,
+_TRIANGULAR = {"h": (lambda k, n, lam: family_element(k, n, lam, "h").terms,
                      cmp_size_antidominance),
                "m": (s_in_m, cmp_graded_dominance)}
 

@@ -124,10 +124,11 @@ def groebner_generators(k, n):
 
 def normal_form(k, n, p):
     """The unique representative of p modulo the ideal supported on monomials
-    with every exponent alpha_i < n - k + i.  Rewrites the deglex-largest
-    pending (reducible) monomial first: its rewrites are all smaller, so its
-    coefficient is final when it is popped, and a finished (normal) monomial
-    is only ever added to."""
+    with every exponent alpha_i < n - k + i.  One exponent-dict sum per
+    monomial; a monomial is classified once, when it enters, and only a
+    reducible one goes on the heap.  The deglex-largest is rewritten first:
+    its rewrites are all smaller, so its sum is final when it is popped, and
+    it never comes back.  What is left when the heap is empty is normal."""
     if p.k != k:
         raise ValueError(f"polynomial has {p.k} variables, context has {k}")
     bounds = tuple(n - k + i for i in range(1, k + 1))
@@ -135,30 +136,29 @@ def normal_form(k, n, p):
     tails = [XPoly.monomial(k, (0,) * i + (bound,) + (0,) * (k - i - 1)) - b
              for i, (bound, b)
              in enumerate(zip(bounds, groebner_generators(k, n)))]
-    pending, finished, heap = {}, {}, []
+    sums, heap = {}, []
 
     def add_term(mono, c, q):
-        i = next((j for j in range(k) if mono[j] >= bounds[j]), None)
-        if i is None:
-            add_product(finished.setdefault(mono, {}), c, q)
-            return
-        if mono not in pending:
-            pending[mono] = {}
-            heappush(heap, (-sum(mono), tuple(-e for e in mono), mono, i))
-        add_product(pending[mono], c, q)
+        if mono not in sums:
+            sums[mono] = {}
+            # the first index at or past its bound
+            i = next((j for j in range(k) if mono[j] >= bounds[j]), None)
+            if i is not None:
+                heappush(heap, (-sum(mono), tuple(-e for e in mono), mono, i))
+        add_product(sums[mono], c, q)
 
     for mono, c in p.terms.items():
         add_term(mono, c, 1)
     while heap:
         *_, mono, i = heappop(heap)
-        c = poly_of(pending.pop(mono))
+        c = poly_of(sums.pop(mono))
         if not c:
             continue
         rem = list(mono)
         rem[i] -= bounds[i]
         for tmono, tc in tails[i].terms.items():
             add_term(tuple(r + t for r, t in zip(rem, tmono)), tc, c)
-    return p._new(polys_of(finished))
+    return p._new(polys_of(sums))
 
 
 def monomial_basis(k, n):

@@ -10,7 +10,7 @@ import time
 from itertools import product as iproduct
 
 from schurbox.apoly import APoly, classical_specialization, parse_apoly
-from schurbox.bases import basis_table, expand_h, expand_p, s_in_m
+from schurbox.bases import basis_table, family_element, s_in_m
 from schurbox.grobner import (
     XPoly, e_on_vars, h_on_vars, monomial_basis, normal_form, schur_xpoly,
 )
@@ -101,7 +101,7 @@ def test_criterion_03_h_to_s_table_3_5():
     with budget(1):
         assert list(table) == list(enumerate_pkn(3, 5))
         for lam, want in table.items():
-            assert expand_h(3, 5, lam) == quot(3, 5, want), lam
+            assert family_element(3, 5, lam, "h") == quot(3, 5, want), lam
 
 
 def test_criterion_04_s_to_m_table_3_5():
@@ -223,7 +223,7 @@ def test_criterion_10_non_basis_tables_to_8():
                 assert ht_table[(k, n)][0] == HT_VERDICTS[n][k - 1], \
                     ("ht", k, n, ht_table[(k, n)])
         for lam, want in p_expansions.items():
-            assert expand_p(2, 4, lam) == quot(2, 4, want), lam
+            assert family_element(2, 4, lam, "p") == quot(2, 4, want), lam
 
 
 def test_criterion_11_two_route_oracle():

@@ -11,8 +11,7 @@ from schurbox import bases
 from schurbox.apoly import APoly, classical_specialization, parse_apoly
 from schurbox.bases import (
     FAMILIES, _bareiss_det, basis_table, change_of_basis_matrix,
-    classify_family, expand_e_conj, expand_h, expand_h_conj, expand_m,
-    expand_p, family_element, power_sum_class, s_in_m,
+    classify_family, family_element, power_sum_class, s_in_m,
     unitriangularity_check,
 )
 from schurbox.grobner import (
@@ -120,11 +119,11 @@ P_TABLE_24 = {
 def test_h_expansion_table_3_5():
     assert list(H_TABLE_35) == list(enumerate_pkn(3, 5))
     for lam, want in H_TABLE_35.items():
-        assert expand_h(3, 5, lam) == quot(3, 5, want), lam
+        assert family_element(3, 5, lam, "h") == quot(3, 5, want), lam
 
 
 def test_h_expansion_render_example():
-    assert expand_h(3, 5, (2, 2, 2)).render() == \
+    assert family_element(3, 5, (2, 2, 2), "h").render() == \
         "s[2,2,2] + 2*a1*s[2,1] - a2*s[1,1] + a1^2*s[]"
 
 
@@ -135,17 +134,19 @@ def test_s_in_m_table_3_5():
 
 def test_p_expansion_table_2_4():
     for lam, want in P_TABLE_24.items():
-        assert expand_p(2, 4, lam) == quot(2, 4, want), lam
+        assert family_element(2, 4, lam, "p") == quot(2, 4, want), lam
 
 
 def test_p_linear_dependence_witness_2_4():
     # the relation that stops the p-family from being a basis at (2,4)
-    dep = expand_p(2, 4, (2, 1)) - expand_p(2, 4, ()) * APoly.gen(1)
+    dep = (family_element(2, 4, (2, 1), "p")
+           - family_element(2, 4, (), "p") * APoly.gen(1))
     assert not dep
 
 
 def test_ht_linear_dependence_witness_2_3():
-    dep = expand_h_conj(2, 3, (1, 1)) - expand_h_conj(2, 3, ()) * APoly.gen(1)
+    dep = (family_element(2, 3, (1, 1), "ht")
+           - family_element(2, 3, (), "ht") * APoly.gen(1))
     assert not dep
 
 
@@ -156,14 +157,14 @@ def test_m_expansion_inverts_kostka():
         for nu in enumerate_pkn(k, n):
             total = QuotElem.zero(k, n)
             for mu, c in s_in_m(k, n, nu).items():
-                total = total + expand_m(k, n, mu) * c
+                total = total + family_element(k, n, mu, "m") * c
             assert total == QuotElem.basis(k, n, nu), (k, n, nu)
 
 
 def test_h_at_zero_is_forward_kostka():
     for k, n in ((2, 5), (3, 5)):
         for lam in enumerate_pkn(k, n):
-            elem = expand_h(k, n, lam)
+            elem = family_element(k, n, lam, "h")
             for mu in enumerate_pkn(k, n):
                 if size(mu) == size(lam):
                     c = elem.terms.get(mu, APoly.const(0))
@@ -191,8 +192,9 @@ def test_change_of_basis_matrix_shape():
     assert len(rows) == 10 and all(len(r) == 10 for r in rows)
     for i, lam in enumerate(basis):
         assert rows[i][i] == APoly.const(1)
-        assert rows[i] == [expand_h(3, 5, lam).terms.get(mu, APoly.const(0))
-                           for mu in basis]
+        assert rows[i] == [
+            family_element(3, 5, lam, "h").terms.get(mu, APoly.const(0))
+            for mu in basis]
 
 
 # -- the reduction-system oracle --------------------------------------------------
@@ -238,11 +240,6 @@ def test_hook_schur_from_h_and_e():
 
 
 def test_family_element_dispatch():
-    assert family_element(3, 5, (2, 1), "h") == expand_h(3, 5, (2, 1))
-    assert family_element(3, 5, (2, 1), "ht") == expand_h_conj(3, 5, (2, 1))
-    assert family_element(3, 5, (2, 1), "e") == expand_e_conj(3, 5, (2, 1))
-    assert family_element(3, 5, (2, 1), "p") == expand_p(3, 5, (2, 1))
-    assert family_element(3, 5, (2, 1), "m") == expand_m(3, 5, (2, 1))
     with pytest.raises(ValueError):
         family_element(3, 5, (2, 1), "q")
 
@@ -375,7 +372,8 @@ def two_point_verdict(k, n, family):
     two disagree."""
     rows = change_of_basis_matrix(k, n, family)
     primes = [2, 3, 5, 7, 11, 13][:k]
-    d0, d1 = (_bareiss_det([[c.evaluate(values) for c in row] for row in rows])
+    d0, d1 = (_bareiss_det([[c.specialize(values).terms.get((), 0)
+                             for c in row] for row in rows])
               for values in ([0] * k, primes))
     if d0 != d1:
         return ("a-dep", None)
