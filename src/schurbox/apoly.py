@@ -23,6 +23,16 @@ def _trim(exps):
     return exps
 
 
+def check_exponents(exps):
+    """exps as a tuple, after checking that each entry is a nonnegative
+    int: the key of a monomial handed in from outside the package."""
+    exps = tuple(exps)
+    for x in exps:
+        if not isinstance(x, int) or x < 0:
+            raise ValueError(f"exponent {x!r} is not a nonnegative integer")
+    return exps
+
+
 def add_product(exps, p, q):
     """Add p*q into exps, a dict {exponent tuple: int}, in place: p is an
     APoly, q an APoly or an int.  Sums that reach zero stay in exps until
@@ -64,7 +74,7 @@ class APoly:
             for exps, c in terms.items():
                 if not isinstance(c, int):
                     raise ValueError(f"coefficient {c!r} is not an integer")
-                exps = _trim(exps)
+                exps = _trim(check_exponents(exps))
                 self.terms[exps] = self.terms.get(exps, 0) + c
             self.terms = {e: c for e, c in self.terms.items() if c}
 
@@ -90,7 +100,7 @@ class APoly:
     def monomial(cls, exps, c=1):
         p = cls()
         if c:
-            p.terms[_trim(exps)] = c
+            p.terms[_trim(check_exponents(exps))] = c
         return p
 
     # -- ring structure ----------------------------------------------------

@@ -16,8 +16,9 @@ from heapq import heappop, heappush
 from itertools import combinations
 
 from .apoly import (
-    APoly, APolyModule, add_product, attach_coefficient, iter_poly_terms,
-    join_signed, monomial_factors, poly_of, polys_of, term_exponents,
+    APoly, APolyModule, add_product, attach_coefficient, check_exponents,
+    iter_poly_terms, join_signed, monomial_factors, poly_of, polys_of,
+    term_exponents,
 )
 from .partitions import check_context, check_partition, compositions
 from .tableaux import kostka
@@ -38,7 +39,7 @@ class XPoly(APolyModule):
         super().__init__((k,), terms)
 
     def _key(self, mono):
-        mono = tuple(mono)
+        mono = check_exponents(mono)
         if len(mono) != self.k:
             raise ValueError(f"monomial {mono} is not length {self.k}")
         return mono

@@ -34,6 +34,19 @@ expand in k variables by the Littlewood-Richardson rule, then straighten
 the sum once (``multiply`` and the family steps of ``bases``).  No product
 is cached: both scans run one slab per first factor alpha, and the S3 scan
 holds the rows s[alpha] * s[y] of one slab at a time.
+
+The positivity scan checks each product on graded integers (Kronecker
+substitution, as in Harvey, J. Symbolic Comput. 2009).  For a degree D,
+every packed key of the classes of the partitions of D with at most k parts,
+each at most 2(n-k), gets a slot of _B = 16 bits, and the class of s_nu is
+one int N_nu = sum c * 2**(_B*slot) over its terms, each c signed by the
+scan's parity rule.  A product of degree D is then N = sum c_nu * N_nu over
+its LR expansion, one big-int multiply-add per shape.  While sum |c_nu| *
+max|c of N_nu| < 2**(_B-1), no slot of N borrows from or carries into the
+next, so adding the mask M of every slot's top bit keeps all of M exactly
+when every signed coefficient is nonnegative.  A product that fails the
+test, or whose bound or shapes do not fit, is summed again in the packed
+accumulator, which finds and renders its violations.
 """
 
 import os
@@ -48,8 +61,8 @@ from .apoly import (
 )
 from .partitions import (
     check_context, check_in_box, check_partition, complement, contains,
-    enumerate_pkn, horizontal_strip_extensions, in_box, pad, size,
-    straighten_vector,
+    enumerate_pkn, horizontal_strip_extensions, in_box, pad,
+    partitions_in_rect, size, straighten_vector,
 )
 from .tableaux import _lr_walk, schur_product_expand
 
@@ -285,15 +298,16 @@ def straighten_combination(k, n, combination):
 
 # -- multiplication ----------------------------------------------------------
 
-def _packed_product(k, n, lam, mu):
-    """s[lam] * s[mu] for box partitions lam, mu, packed."""
-    return _accumulate(k, n, ((1, schur_product_expand(lam, mu, k).items()),))
+def _packed_product(k, n, expansion):
+    """The product of two box classes, packed, from its LR expansion in k
+    variables."""
+    return _accumulate(k, n, ((1, expansion.items()),))
 
 
 def _product_row(k, n, expansion):
     """The product of two box classes, as a new row (_rows), from its LR
     expansion in k variables."""
-    return _rows(k, n, _accumulate(k, n, ((1, expansion.items()),)))
+    return _rows(k, n, _packed_product(k, n, expansion))
 
 
 def multiply(f, g):
@@ -438,29 +452,80 @@ def positivity_scan(k, n, jobs=1):
             "violations": bad}
 
 
-def _positivity_slab(k, n, box, i):
-    """The sign violations in s[lam] * s[mu], lam = box[i], for mu in
-    box[i:] (combinations_with_replacement order), each read once from its
-    packed product.  Signed and written in the b-variables, the monomial
-    c*a^e of the s[nu] coefficient is c*b^e, negated when |lam| + |mu| -
-    |nu| is odd, and again when flip and |e| is odd.  Both parities come
-    from one rule, for the check and the report alike: a sum of fields is
-    odd when an odd number of them have their low bit set, over the parts'
-    fields of nu and, when flip, the exponent fields.  Only the keys of a
-    violating nu are signed by it and unpacked, into b-polynomials."""
-    lam = box[i]
-    flip = (n - k - 1) % 2
+def _sign_fields(k, n):
+    """The key whose set bits are the low bits of the parts' fields of nu
+    (none when n-k = 0) and, when n-k-1 is odd, of the exponent fields:
+    the key of a_1 * ... * a_k.  A term c*a^e*s[nu] of a product of degree
+    d enters the positivity check negated exactly when d plus the number of
+    these bits set in its key is odd, since a sum of fields is odd when an
+    odd number of them are."""
     b = (n - k).bit_length()
     shift = k * b
-    mask = (1 << shift) - 1
-    # the low bit of each part's field (none when b = 0) and, when flip,
-    # of each exponent's: the key of a_1 * ... * a_k
-    odd = (sum(1 << p for p in range(0, shift, b or 1))
-           | flip * _monomial_key((1,) * k, shift))
+    return (sum(1 << p for p in range(0, shift, b or 1))
+            | (n - k - 1) % 2 * _monomial_key((1,) * k, shift))
+
+
+# Bits per slot of a graded integer (_graded).
+_B = 16
+
+
+@lru_cache(maxsize=None)
+def _graded(k, n, d):
+    """The degree-d piece of the positivity check as graded integers:
+    (keys, classes, mask).  keys[slot] is a packed key; classes maps each
+    partition nu of d with at most k parts, each at most 2(n-k), which holds
+    every shape of an LR product of two box classes, to (N, top), where N is
+    the sum of c * 2**(_B*slot) over the terms c*key of the class of s_nu,
+    each c signed by _sign_fields, and top is the largest |c|; mask has the
+    top bit of every slot set."""
+    odd = _sign_fields(k, n)
+    slots, classes = {}, {}
+    for nu in partitions_in_rect(d, k, 2 * (n - k)):
+        value = top = 0
+        it = iter(_straighten(k, n, nu))
+        for key, c in zip(it, it):
+            slot = slots.setdefault(key, len(slots))
+            top = max(top, abs(c))
+            value += (-c if (d + (key & odd).bit_count()) % 2 else c) \
+                << (_B * slot)
+        classes[nu] = (value, top)
+    width = _B * len(slots)
+    mask = ((1 << width) - 1) // ((1 << _B) - 1) << (_B - 1)
+    return tuple(slots), classes, mask
+
+
+def _positivity_slab(k, n, box, i):
+    """The sign violations in s[lam] * s[mu], lam = box[i], for mu in
+    box[i:] (combinations_with_replacement order).  Signed and written in
+    the b-variables, the monomial c*a^e of the s[nu] coefficient is c*b^e,
+    negated when |lam| + |mu| - |nu| is odd, and again when n-k-1 and |e|
+    are odd: the rule of _sign_fields, for the check and the report alike.
+
+    Each product is checked on graded integers (_graded): N = sum c_nu *
+    N_nu over its LR expansion holds every signed coefficient in a _B-bit
+    slot, and when sum |c_nu| * top_nu < 2**(_B-1) no slot carries, so
+    every coefficient is nonnegative exactly when N + mask keeps every top
+    bit.  A product that fails, or whose bound or shapes do not fit the
+    table, is summed in the packed accumulator, where only the keys of a
+    violating nu are signed and unpacked, into b-polynomials."""
+    lam = box[i]
+    odd = _sign_fields(k, n)
+    mask = (1 << k * (n - k).bit_length()) - 1
+    limit = 1 << (_B - 1)
     out = []
     for mu in box[i:]:
         base = size(lam) + size(mu)
-        packed = _packed_product(k, n, lam, mu)
+        expansion = schur_product_expand(lam, mu, k)
+        classes, tops = _graded(k, n, base)[1:]
+        total = bound = 0
+        for nu, c in expansion.items():
+            # a shape outside the table puts the bound past the limit
+            value, top = classes.get(nu, (0, limit))
+            total += c * value
+            bound += abs(c) * top
+        if bound < limit and (total + tops) & tops == tops:
+            continue
+        packed = _packed_product(k, n, expansion)
         bad = {key & mask for key, c in packed.items()
                if (c < 0) != (base + (key & odd).bit_count()) % 2}
         if not bad:

@@ -199,6 +199,22 @@ def test_constructors_reject_non_integer_coefficients(build, coeff):
         build()
 
 
+@pytest.mark.parametrize("build, exponent", [
+    (lambda: APoly({(1.5,): 1}), 1.5),
+    (lambda: APoly({(0, -1): 1}), -1),
+    (lambda: APoly.monomial((2, -3)), -3),
+    (lambda: APoly.monomial(("1",)), "1"),
+    (lambda: XPoly(2, {(-1, 0): 1}), -1),
+    (lambda: XPoly(2, {(1, 0.5): 1}), 0.5),
+    (lambda: XPoly.monomial(2, (0, -2)), -2),
+], ids=["apoly-float", "apoly-negative", "monomial-negative", "monomial-str",
+        "xpoly-negative", "xpoly-float", "xpoly-monomial-negative"])
+def test_constructors_reject_bad_exponents(build, exponent):
+    # monomials live in N^k: text such as a1^1.5 or x1^-1 is never built
+    with pytest.raises(ValueError, match=re.escape(repr(exponent))):
+        build()
+
+
 def test_apoly_is_unhashable():
     # a caller may change the terms of an APoly it was handed
     with pytest.raises(TypeError):

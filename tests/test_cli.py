@@ -394,7 +394,8 @@ def test_out_of_memory_exits_3(capsys, monkeypatch):
 def test_dead_worker_exits_3(capsys, monkeypatch):
     """A worker that exits abruptly, as one the kernel kills for memory,
     fails the scan with exit code 3, not 1, and no traceback."""
-    monkeypatch.setattr(quotient, "_packed_product", lambda *a: os._exit(1))
+    monkeypatch.setattr(quotient, "schur_product_expand",
+                        lambda *a: os._exit(1))
     rc, out, err = run(capsys, "positivity", "--k", "2", "--n", "4",
                        "--jobs", "2")
     assert rc == 3 and out == ""

@@ -26,8 +26,8 @@ from schurbox.apoly import (
 from schurbox.cli import main
 from schurbox.grobner import h_on_vars, normal_form, schur_xpoly
 from schurbox.partitions import (
-    complement, enumerate_pkn, in_box, pad, partitions_in_rect, size,
-    straighten_vector,
+    complement, enumerate_pkn, horizontal_strip_extensions, in_box, pad,
+    partitions_in_rect, size, straighten_vector,
 )
 from schurbox.quotient import (
     QuotElem, canonical_order, check_context, multiply,
@@ -595,21 +595,45 @@ def test_parallel_scans_equal_serial(k, n):
     assert positivity_scan(k, n, jobs=2) == positivity_scan(k, n)
 
 
-def _corrupt_product(monkeypatch, pair, nu, fn):
-    """Make the packed product, which the positivity scan reads, hold
-    fn(coefficient) at nu for the ordered pair only."""
-    packed = quotient._packed_product
+def _times_class(k, n, nu, poly):
+    """An expansion {shape: int} whose class is poly * s[nu]: s_nu times
+    the product of h_{n-k+j}^e_j over each monomial c*a^e of poly, by the
+    Pieri rule in k variables, since h_{n-k+j} is a_j in the quotient."""
+    out = Counter()
+    for e, c in poly.terms.items():
+        shapes = Counter({nu: c})
+        for j, m in enumerate(e, 1):
+            for _ in range(m):
+                grown = Counter()
+                for rho, c_rho in shapes.items():
+                    width = size(rho) + n - k + j
+                    for sigma in horizontal_strip_extensions(
+                            rho, n - k + j, k, width):
+                        grown[sigma] += c_rho
+                shapes = grown
+        out.update(shapes)
+    return out
 
-    def corrupted(k, n, lam, mu):
-        acc = packed(k, n, lam, mu)
+
+def _corrupt_product(monkeypatch, n, pair, nu, fn):
+    """Make the product s[lam] * s[mu] at (k, n) hold fn(coefficient) at nu
+    for the ordered pair (lam, mu) only, by adding to its LR expansion,
+    which the graded check, the packed products and the substitution
+    oracle all read."""
+    expand = quotient.schur_product_expand
+
+    def corrupted(lam, mu, k):
+        expansion = expand(lam, mu, k)
         if (lam, mu) != pair:
-            return acc
-        table = quotient._unpack(k, n, acc)
-        table[nu] = fn(table.get(nu, APoly.const(0)))
-        return quotient._accumulate(
-            k, n, ((c, ((shape, 1),)) for shape, c in table.items()))
+            return expansion
+        table = quotient._unpack(
+            k, n, quotient._packed_product(k, n, expansion))
+        g = table.get(nu, APoly.const(0))
+        out = Counter(expansion)
+        out.update(_times_class(k, n, nu, fn(g) - g))
+        return {shape: c for shape, c in out.items() if c}
 
-    monkeypatch.setattr(quotient, "_packed_product", corrupted)
+    monkeypatch.setattr(quotient, "schur_product_expand", corrupted)
 
 
 def _corrupt_expansion(monkeypatch, fn):
@@ -737,7 +761,7 @@ def test_s3_scan_matches_the_six_reads_under_corruption(monkeypatch, k, n):
 
 
 def test_positivity_scan_reports_a_flipped_sign(monkeypatch):
-    _corrupt_product(monkeypatch, POSITIVITY_PAIR, POSITIVITY_NU,
+    _corrupt_product(monkeypatch, 4, POSITIVITY_PAIR, POSITIVITY_NU,
                      lambda c: -c)
     report = positivity_scan(2, 4)
     assert not report["ok"] and report["pairs"] == 21
@@ -748,7 +772,7 @@ def test_positivity_scan_reports_a_flipped_sign(monkeypatch):
 
 
 def test_positivity_scan_unflipped_signs(monkeypatch):
-    _corrupt_product(monkeypatch, UNFLIPPED_PAIR, UNFLIPPED_NU,
+    _corrupt_product(monkeypatch, 5, UNFLIPPED_PAIR, UNFLIPPED_NU,
                      lambda c: c - APoly.gen(2))
     report = positivity_scan(2, 5)
     assert not report["ok"] and report["pairs"] == 55
@@ -758,23 +782,105 @@ def test_positivity_scan_unflipped_signs(monkeypatch):
         assert positivity_scan(2, 5, jobs=2) == report
 
 
+def _signed_product(k, n, lam, mu):
+    """{nu: b-polynomial} of s[lam] * s[mu] in APoly arithmetic: each
+    coefficient g times (-1)^{|lam|+|mu|-|nu|}, then a_i -> -a_i when n-k-1
+    is odd."""
+    negated = [-APoly.gen(i) for i in range(1, k + 1)]
+    packed = quotient._packed_product(
+        k, n, quotient.schur_product_expand(lam, mu, k))
+    out = {}
+    for nu, g in quotient._unpack(k, n, packed).items():
+        poly = -g if (size(lam) + size(mu) - size(nu)) % 2 else g
+        out[nu] = poly.specialize(negated) if (n - k - 1) % 2 else poly
+    return out
+
+
 def _positivity_by_substitution(k, n):
     """The violations that positivity_scan(k, n) must report, found in APoly
-    arithmetic: each product coefficient g times (-1)^{|lam|+|mu|-|nu|},
-    then a_i -> -a_i when n-k-1 is odd; a violation is a coefficient with a
-    negative monomial, rendered in the b-variables."""
-    negated = [-APoly.gen(i) for i in range(1, k + 1)]
+    arithmetic: a coefficient of _signed_product with a negative monomial,
+    rendered in the b-variables."""
     out = []
     for lam, mu in combinations_with_replacement(enumerate_pkn(k, n), 2):
-        packed = quotient._packed_product(k, n, lam, mu)
-        for nu, g in sorted(quotient._unpack(k, n, packed).items()):
-            poly = -g if (size(lam) + size(mu) - size(nu)) % 2 else g
-            if (n - k - 1) % 2:
-                poly = poly.specialize(negated)
+        for nu, poly in sorted(_signed_product(k, n, lam, mu).items()):
             if any(c < 0 for c in poly.terms.values()):
                 out.append({"lam": lam, "mu": mu, "nu": nu,
                             "in_b_variables": poly.render("b")})
     return out
+
+
+def _slots(keys, total):
+    """{key: c} over the nonzero _B-bit slots of a graded integer, each read
+    as a signed c; keys[slot] is the key of a slot."""
+    width, out = quotient._B, {}
+    for key in keys:
+        c = total & ((1 << width) - 1)
+        c -= c >> (width - 1) << width
+        if c:
+            out[key] = c
+        total = (total - c) >> width
+    assert total == 0
+    return out
+
+
+def _graded_product(k, n, expansion):
+    """(keys, total, bound) of a product's graded integer: the slot keys of
+    its degree, sum c_nu * N_nu over its LR expansion, and sum c_nu *
+    top_nu, which bounds the |c| of every slot of the total."""
+    d = size(next(iter(expansion)))
+    keys, classes, _ = quotient._graded(k, n, d)
+    total = bound = 0
+    for nu, c in expansion.items():
+        value, top = classes[nu]
+        total += c * value
+        bound += c * top
+    return keys, total, bound
+
+
+@pytest.mark.parametrize("k, n", [(3, 6), (4, 8)])
+def test_graded_integers_hold_the_signed_products(k, n):
+    """On every unordered pair, the graded integer of the product fits the
+    slot bound and decodes to the product signed in APoly arithmetic; n-k-1
+    is even at (3,6) and odd at (4,8)."""
+    for lam, mu in combinations_with_replacement(enumerate_pkn(k, n), 2):
+        keys, total, bound = _graded_product(
+            k, n, schur_product_expand(lam, mu, k))
+        assert bound < 1 << (quotient._B - 1)
+        decoded = quotient._unpack(k, n, _slots(keys, total))
+        assert decoded == {nu: g for nu, g in
+                           _signed_product(k, n, lam, mu).items() if g}
+
+
+def test_products_past_the_slot_bound_take_the_packed_route(monkeypatch):
+    """With 2-bit slots, exactly the products whose bound does not fit are
+    summed in the packed accumulator instead, and the reports stay the
+    same; with the full width, no product of a clean scan is."""
+    clean = positivity_scan(3, 6)
+    packed, calls = quotient._packed_product, []
+
+    def recording(k, n, expansion):
+        calls.append(expansion)
+        return packed(k, n, expansion)
+
+    with monkeypatch.context() as m:
+        m.setattr(quotient, "_packed_product", recording)
+        assert positivity_scan(3, 6) == clean and not calls
+        clear_caches()
+        m.setattr(quotient, "_B", 2)
+        try:
+            assert positivity_scan(3, 6) == clean
+            expansions = [
+                schur_product_expand(lam, mu, 3) for lam, mu in
+                combinations_with_replacement(enumerate_pkn(3, 6), 2)]
+            unfit = [e for e in expansions
+                     if _graded_product(3, 6, e)[2] >= 2]
+            assert calls == unfit and 0 < len(unfit) < len(expansions)
+            _corrupt_product(m, 4, POSITIVITY_PAIR, POSITIVITY_NU,
+                             lambda c: -c)
+            assert positivity_scan(2, 4)["violations"] == \
+                [POSITIVITY_VIOLATION]
+        finally:
+            clear_caches()
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -788,7 +894,7 @@ def test_positivity_report_matches_the_substitution(monkeypatch, k, n, seed):
         pair = tuple(sorted(rng.sample(range(len(box)), 2)))
         m = APoly.monomial([rng.randrange(3) for _ in range(k)],
                            rng.choice((-2, -1, 1, 2)))
-        _corrupt_product(monkeypatch, (box[pair[0]], box[pair[1]]),
+        _corrupt_product(monkeypatch, n, (box[pair[0]], box[pair[1]]),
                          rng.choice(box), rng.choice(
                              (lambda g: -g, lambda g, m=m: g + m)))
     want = _positivity_by_substitution(k, n)
@@ -817,7 +923,7 @@ def test_cli_s3_exits_1_on_a_counterexample(monkeypatch, capsys):
 
 
 def test_cli_positivity_exits_1_on_a_violation(monkeypatch, capsys):
-    _corrupt_product(monkeypatch, POSITIVITY_PAIR, POSITIVITY_NU,
+    _corrupt_product(monkeypatch, 4, POSITIVITY_PAIR, POSITIVITY_NU,
                      lambda c: -c)
     rc, out = _cli(capsys, "positivity", "--k", "2", "--n", "4")
     assert rc == 1
@@ -945,7 +1051,7 @@ def test_straighten_combination_drops_cancelled_terms():
 
 def test_clear_caches_empties_every_cache():
     """The package's caches, found as clear_caches finds them (module
-    attributes with cache_clear), are exactly the four with repeat reads,
+    attributes with cache_clear), are exactly the five with repeat reads,
     so a new cache fails here until it is listed; clear_caches empties
     them all and the results stay the same."""
     caches = {}
@@ -956,7 +1062,8 @@ def test_clear_caches_empties_every_cache():
                 caches[f"{fn.__module__}.{fn.__qualname__}"] = fn
     assert sorted(caches) == [
         "schurbox.bases._kostka_inverse", "schurbox.quotient._fields",
-        "schurbox.quotient._straighten", "schurbox.tableaux.kostka"]
+        "schurbox.quotient._graded", "schurbox.quotient._straighten",
+        "schurbox.tableaux.kostka"]
 
     def results():
         return (s3_report(2, 5), positivity_scan(2, 5),
