@@ -36,17 +36,15 @@ is cached: both scans run one slab per first factor alpha, and the S3 scan
 holds the rows s[alpha] * s[y] of one slab at a time.
 
 The positivity scan checks each product on graded integers (Kronecker
-substitution, as in Harvey, J. Symbolic Comput. 2009).  For a degree D,
-every packed key of the classes of the partitions of D with at most k parts,
-each at most 2(n-k), gets a slot of _B = 16 bits, and the class of s_nu is
-one int N_nu = sum c * 2**(_B*slot) over its terms, each c signed by the
-scan's parity rule.  A product of degree D is then N = sum c_nu * N_nu over
-its LR expansion, one big-int multiply-add per shape.  While sum |c_nu| *
-max|c of N_nu| < 2**(_B-1), no slot of N borrows from or carries into the
-next, so adding the mask M of every slot's top bit keeps all of M exactly
-when every signed coefficient is nonnegative.  A product that fails the
-test, or whose bound or shapes do not fit, is summed again in the packed
-accumulator, which finds and renders its violations.
+substitution, as in Harvey, J. Symbolic Comput. 2009).  Every packed key of
+the classes of degree D gets a w-bit slot, and the class of s_nu is one int
+N_nu = sum c * 2**(w*slot) over its terms, each c signed by the scan's
+parity rule; a product of degree D is N = sum c_nu * N_nu over its LR
+expansion.  While sum |c_nu| * max|c of N_nu| < 2**(w-1), each slot of N
+holds one signed coefficient, with no carry, so adding the mask M of every
+slot's top bit keeps all of M exactly when each is nonnegative.  A degree's
+table is rebuilt, wider or with more shapes, until it holds the product, so
+every product is checked, and its violations read, on its graded integer.
 """
 
 import os
@@ -298,16 +296,10 @@ def straighten_combination(k, n, combination):
 
 # -- multiplication ----------------------------------------------------------
 
-def _packed_product(k, n, expansion):
-    """The product of two box classes, packed, from its LR expansion in k
-    variables."""
-    return _accumulate(k, n, ((1, expansion.items()),))
-
-
 def _product_row(k, n, expansion):
     """The product of two box classes, as a new row (_rows), from its LR
     expansion in k variables."""
-    return _rows(k, n, _packed_product(k, n, expansion))
+    return _rows(k, n, _accumulate(k, n, ((1, expansion.items()),)))
 
 
 def multiply(f, g):
@@ -465,33 +457,45 @@ def _sign_fields(k, n):
             | (n - k - 1) % 2 * _monomial_key((1,) * k, shift))
 
 
-# Bits per slot of a graded integer (_graded).
+# Bits per slot of a new graded table (_graded), widened where needed.
 _B = 16
 
 
 @lru_cache(maxsize=None)
 def _graded(k, n, d):
-    """The degree-d piece of the positivity check as graded integers:
-    (keys, classes, mask).  keys[slot] is a packed key; classes maps each
-    partition nu of d with at most k parts, each at most 2(n-k), which holds
-    every shape of an LR product of two box classes, to (N, top), where N is
-    the sum of c * 2**(_B*slot) over the terms c*key of the class of s_nu,
+    """The degree-d table of the positivity check, in a one-item list for
+    _positivity_slab to rebuild: at first _B-bit slots on the partitions
+    of d with at most k parts, each at most 2(n-k), as LR products have."""
+    return [_graded_table(k, n, d, _B, partitions_in_rect(d, k, 2 * (n - k)))]
+
+
+def _graded_table(k, n, d, width, shapes):
+    """(keys, classes, width, mask) for products of degree d: keys[slot] is
+    a packed key; classes maps each shape nu to (N, top), where N is the
+    sum of c * 2**(width*slot) over the terms c*key of the class of s_nu,
     each c signed by _sign_fields, and top is the largest |c|; mask has the
     top bit of every slot set."""
     odd = _sign_fields(k, n)
     slots, classes = {}, {}
-    for nu in partitions_in_rect(d, k, 2 * (n - k)):
+    for nu in shapes:
         value = top = 0
         it = iter(_straighten(k, n, nu))
         for key, c in zip(it, it):
             slot = slots.setdefault(key, len(slots))
             top = max(top, abs(c))
             value += (-c if (d + (key & odd).bit_count()) % 2 else c) \
-                << (_B * slot)
+                << (width * slot)
         classes[nu] = (value, top)
-    width = _B * len(slots)
-    mask = ((1 << width) - 1) // ((1 << _B) - 1) << (_B - 1)
-    return tuple(slots), classes, mask
+    mask = ((1 << width * len(slots)) - 1) // ((1 << width) - 1) << width - 1
+    return tuple(slots), classes, width, mask
+
+
+def _slots(keys, biased, width):
+    """{keys[slot]: c} over the nonzero slots c of a graded integer N, each
+    |c| < half, read from N + mask, whose slots hold c + half."""
+    half = 1 << (width - 1)
+    return {key: c for slot, key in enumerate(keys)
+            if (c := (biased >> width * slot) % (2 * half) - half)}
 
 
 def _positivity_slab(k, n, box, i):
@@ -499,43 +503,39 @@ def _positivity_slab(k, n, box, i):
     box[i:] (combinations_with_replacement order).  Signed and written in
     the b-variables, the monomial c*a^e of the s[nu] coefficient is c*b^e,
     negated when |lam| + |mu| - |nu| is odd, and again when n-k-1 and |e|
-    are odd: the rule of _sign_fields, for the check and the report alike.
+    are odd: the rule of _sign_fields, applied where a table is built.
 
-    Each product is checked on graded integers (_graded): N = sum c_nu *
-    N_nu over its LR expansion holds every signed coefficient in a _B-bit
-    slot, and when sum |c_nu| * top_nu < 2**(_B-1) no slot carries, so
-    every coefficient is nonnegative exactly when N + mask keeps every top
-    bit.  A product that fails, or whose bound or shapes do not fit the
-    table, is summed in the packed accumulator, where only the keys of a
-    violating nu are signed and unpacked, into b-polynomials."""
+    Each product is checked on its graded integer N (_graded).  A rebuild
+    adds a shape outside the table, which only a faulty expansion has, or
+    widens the slots to bound.bit_length() + 4 bits once the bound sum
+    |c_nu| * top_nu reaches 2**(width-1).  Then N + mask keeps every top bit
+    exactly when no coefficient is negative; else N's slots are reported."""
     lam = box[i]
-    odd = _sign_fields(k, n)
-    mask = (1 << k * (n - k).bit_length()) - 1
-    limit = 1 << (_B - 1)
     out = []
     for mu in box[i:]:
         base = size(lam) + size(mu)
         expansion = schur_product_expand(lam, mu, k)
-        classes, tops = _graded(k, n, base)[1:]
+        table = _graded(k, n, base)
+        keys, classes, width, mask = table[0]
+        if not classes.keys() >= expansion.keys():
+            keys, classes, width, mask = table[0] = _graded_table(
+                k, n, base, width, classes.keys() | expansion.keys())
         total = bound = 0
         for nu, c in expansion.items():
-            # a shape outside the table puts the bound past the limit
-            value, top = classes.get(nu, (0, limit))
+            value, top = classes[nu]
             total += c * value
             bound += abs(c) * top
-        if bound < limit and (total + tops) & tops == tops:
+        if bound >> (width - 1):
+            keys, classes, width, mask = table[0] = _graded_table(
+                k, n, base, bound.bit_length() + 4, classes)
+            total = sum(c * classes[nu][0] for nu, c in expansion.items())
+        if (total + mask) & mask == mask:
             continue
-        packed = _packed_product(k, n, expansion)
-        bad = {key & mask for key, c in packed.items()
-               if (c < 0) != (base + (key & odd).bit_count()) % 2}
-        if not bad:
-            continue
-        found = _unpack(k, n, {
-            key: -c if (base + (key & odd).bit_count()) % 2 else c
-            for key, c in packed.items() if key & mask in bad})
+        found = _unpack(k, n, _slots(keys, total + mask, width))
         out.extend({"lam": lam, "mu": mu, "nu": nu,
                     "in_b_variables": g.render("b")}
-                   for nu, g in sorted(found.items()))
+                   for nu, g in sorted(found.items())
+                   if min(g.terms.values()) < 0)
     return out
 
 

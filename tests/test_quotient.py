@@ -9,6 +9,7 @@ import json
 import multiprocessing
 import pkgutil
 import random
+import sys
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
@@ -618,17 +619,15 @@ def _times_class(k, n, nu, poly):
 def _corrupt_product(monkeypatch, n, pair, nu, fn):
     """Make the product s[lam] * s[mu] at (k, n) hold fn(coefficient) at nu
     for the ordered pair (lam, mu) only, by adding to its LR expansion,
-    which the graded check, the packed products and the substitution
-    oracle all read."""
+    which the graded check and the substitution oracle both read."""
     expand = quotient.schur_product_expand
 
     def corrupted(lam, mu, k):
         expansion = expand(lam, mu, k)
         if (lam, mu) != pair:
             return expansion
-        table = quotient._unpack(
-            k, n, quotient._packed_product(k, n, expansion))
-        g = table.get(nu, APoly.const(0))
+        g = straighten_combination(k, n, expansion).terms.get(
+            nu, APoly.const(0))
         out = Counter(expansion)
         out.update(_times_class(k, n, nu, fn(g) - g))
         return {shape: c for shape, c in out.items() if c}
@@ -787,10 +786,9 @@ def _signed_product(k, n, lam, mu):
     coefficient g times (-1)^{|lam|+|mu|-|nu|}, then a_i -> -a_i when n-k-1
     is odd."""
     negated = [-APoly.gen(i) for i in range(1, k + 1)]
-    packed = quotient._packed_product(
-        k, n, quotient.schur_product_expand(lam, mu, k))
+    expansion = quotient.schur_product_expand(lam, mu, k)
     out = {}
-    for nu, g in quotient._unpack(k, n, packed).items():
+    for nu, g in straighten_combination(k, n, expansion).terms.items():
         poly = -g if (size(lam) + size(mu) - size(nu)) % 2 else g
         out[nu] = poly.specialize(negated) if (n - k - 1) % 2 else poly
     return out
@@ -809,78 +807,102 @@ def _positivity_by_substitution(k, n):
     return out
 
 
-def _slots(keys, total):
-    """{key: c} over the nonzero _B-bit slots of a graded integer, each read
-    as a signed c; keys[slot] is the key of a slot."""
-    width, out = quotient._B, {}
-    for key in keys:
-        c = total & ((1 << width) - 1)
-        c -= c >> (width - 1) << width
-        if c:
-            out[key] = c
-        total = (total - c) >> width
-    assert total == 0
-    return out
-
-
 def _graded_product(k, n, expansion):
-    """(keys, total, bound) of a product's graded integer: the slot keys of
-    its degree, sum c_nu * N_nu over its LR expansion, and sum c_nu *
-    top_nu, which bounds the |c| of every slot of the total."""
+    """(keys, width, mask, total, bound) of a product's graded integer: the
+    slot keys, width and mask of its degree's table, sum c_nu * N_nu over
+    its LR expansion, and sum |c_nu| * top_nu, which bounds the |c| of
+    every slot of the total."""
     d = size(next(iter(expansion)))
-    keys, classes, _ = quotient._graded(k, n, d)
+    keys, classes, width, mask = quotient._graded(k, n, d)[0]
     total = bound = 0
     for nu, c in expansion.items():
         value, top = classes[nu]
         total += c * value
-        bound += c * top
-    return keys, total, bound
+        bound += abs(c) * top
+    return keys, width, mask, total, bound
 
 
 @pytest.mark.parametrize("k, n", [(3, 6), (4, 8)])
 def test_graded_integers_hold_the_signed_products(k, n):
     """On every unordered pair, the graded integer of the product fits the
-    slot bound and decodes to the product signed in APoly arithmetic; n-k-1
-    is even at (3,6) and odd at (4,8)."""
+    slot bound and decodes, through the scan's slot reader, to the product
+    signed in APoly arithmetic; n-k-1 is even at (3,6) and odd at (4,8)."""
     for lam, mu in combinations_with_replacement(enumerate_pkn(k, n), 2):
-        keys, total, bound = _graded_product(
+        keys, width, mask, total, bound = _graded_product(
             k, n, schur_product_expand(lam, mu, k))
-        assert bound < 1 << (quotient._B - 1)
-        decoded = quotient._unpack(k, n, _slots(keys, total))
-        assert decoded == {nu: g for nu, g in
-                           _signed_product(k, n, lam, mu).items() if g}
+        assert bound < 1 << (width - 1)
+        slots = quotient._slots(keys, total + mask, width)
+        # the nonzero slots are the whole integer
+        index = {key: slot for slot, key in enumerate(keys)}
+        assert sum(c << width * index[key]
+                   for key, c in slots.items()) == total
+        assert quotient._unpack(k, n, slots) == {
+            nu: g for nu, g in _signed_product(k, n, lam, mu).items() if g}
 
 
-def test_products_past_the_slot_bound_take_the_packed_route(monkeypatch):
-    """With 2-bit slots, exactly the products whose bound does not fit are
-    summed in the packed accumulator instead, and the reports stay the
-    same; with the full width, no product of a clean scan is."""
+def test_graded_tables_widen_until_the_products_fit(monkeypatch):
+    """From 2-bit slots, the table of each degree whose products do not
+    fit is rebuilt wider, and the clean and corrupted reports stay the
+    same."""
     clean = positivity_scan(3, 6)
-    packed, calls = quotient._packed_product, []
-
-    def recording(k, n, expansion):
-        calls.append(expansion)
-        return packed(k, n, expansion)
-
     with monkeypatch.context() as m:
-        m.setattr(quotient, "_packed_product", recording)
-        assert positivity_scan(3, 6) == clean and not calls
         clear_caches()
         m.setattr(quotient, "_B", 2)
         try:
             assert positivity_scan(3, 6) == clean
-            expansions = [
-                schur_product_expand(lam, mu, 3) for lam, mu in
-                combinations_with_replacement(enumerate_pkn(3, 6), 2)]
-            unfit = [e for e in expansions
-                     if _graded_product(3, 6, e)[2] >= 2]
-            assert calls == unfit and 0 < len(unfit) < len(expansions)
+            assert max(quotient._graded(3, 6, d)[0][2]
+                       for d in range(19)) > 2
             _corrupt_product(m, 4, POSITIVITY_PAIR, POSITIVITY_NU,
                              lambda c: -c)
             assert positivity_scan(2, 4)["violations"] == \
                 [POSITIVITY_VIOLATION]
         finally:
             clear_caches()
+
+
+# At (2,5), 2(n-k) = 6, and s[3,2] * s[3,3] has degree 11.  Each corruption
+# gives it what no LR product of two box classes has: a shape with a row
+# wider than 6, a shape of another degree, or coefficients past the bound
+# of _B-bit slots.
+WIDE_PAIR = ((3, 2), (3, 3))
+WIDE_CORRUPTIONS = {
+    "wide row": lambda expansion: {**expansion, (11,): -1},
+    "other degree": lambda expansion: {**expansion, (3, 3): 1},
+    "past the bound": lambda expansion: {
+        nu: -(1 << quotient._B) * c for nu, c in expansion.items()},
+}
+
+
+@pytest.mark.parametrize("case", sorted(WIDE_CORRUPTIONS))
+def test_corrupted_products_are_checked_on_their_graded_integers(
+        monkeypatch, case):
+    """A corrupted product is still checked on its graded integer: its
+    degree's table is rebuilt to hold it, the report equals the
+    substitution's, and no product is summed in _accumulate (only the
+    rim-hook steps of _straighten call it)."""
+    fn = WIDE_CORRUPTIONS[case]
+    _corrupt_expansion(monkeypatch, lambda lam, mu, expansion: fn(
+        expansion) if (lam, mu) == WIDE_PAIR else expansion)
+    want = _positivity_by_substitution(2, 5)
+    assert want
+    summed, accumulate = [], quotient._accumulate
+    rim_hooks = quotient._straighten.__wrapped__.__code__
+
+    def recording(k, n, terms):
+        if sys._getframe(1).f_code is not rim_hooks:
+            summed.append(terms)
+        return accumulate(k, n, terms)
+
+    monkeypatch.setattr(quotient, "_accumulate", recording)
+    try:
+        assert positivity_scan(2, 5)["violations"] == want
+        assert not summed
+        keys, classes, width, _ = quotient._graded(2, 5, 11)[0]
+        assert classes.keys() >= fn(schur_product_expand(
+            *WIDE_PAIR, 2)).keys()
+        assert (width > quotient._B) == (case == "past the bound")
+    finally:
+        clear_caches()
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
