@@ -38,9 +38,9 @@ __version__ = "0.1.0"
 
 def clear_caches():
     """Empty every lru_cache in the package (straightening, the unpacked
-    fields of its keys and the positivity scan's graded integers, Kostka
-    numbers and Kostka inverses; products, skew expansions, box
-    enumerations and Groebner data are not cached).
+    fields of its keys, the positivity scan's graded integers, the S3
+    scan's filling tables, Kostka numbers and Kostka inverses; products,
+    skew expansions, box enumerations and Groebner data are not cached).
     Every cache is unbounded, so a long-lived caller that moves on from a
     context can call this to free its memory."""
     for module in (apoly, bases, grobner, partitions, quotient, tableaux):

@@ -33,7 +33,12 @@ Products follow Bertram, Ciocan-Fontanine and Fulton (J. Algebra, 1999):
 expand in k variables by the Littlewood-Richardson rule, then straighten
 the sum once (``multiply`` and the family steps of ``bases``).  No product
 is cached: both scans run one slab per first factor alpha, and the S3 scan
-holds the rows s[alpha] * s[y] of one slab at a time.
+holds the rows s[alpha] * s[y] of one slab at a time.  The scans read each
+LR expansion s[lam] * s[mu] from the filling table of lam (``_fillings``),
+lam's lattice fillings walked once and grouped by need, at mu
+(``_read_product``).  The positivity slab builds its alpha's table and
+drops it; the S3 slab also reads s[y] * s[alpha] from y's table, so it
+keeps every box shape's table for the scan, one set per process.
 
 The positivity scan checks each product on graded integers (Kronecker
 substitution, as in Harvey, J. Symbolic Comput. 2009).  Every packed key of
@@ -58,11 +63,11 @@ from .apoly import (
     join_signed, poly_of, polys_of,
 )
 from .partitions import (
-    check_context, check_in_box, check_partition, complement, contains,
+    check_context, check_in_box, check_partition, complement,
     enumerate_pkn, horizontal_strip_extensions, in_box, pad,
     partitions_in_rect, size, straighten_vector,
 )
-from .tableaux import _lr_walk, schur_product_expand
+from .tableaux import _lr_read, _lr_walk, _skew, schur_product_expand
 
 
 def omega(k, n):
@@ -343,13 +348,13 @@ def pieri_h(k, n, lam, j):
     sums = {}
     for mu in horizontal_strip_extensions(lam, j, k, n - k):
         add_product(sums.setdefault(mu, {}), ONE, 1)
-    for i in range(1, k + 1):
-        hook = (n - k - j + 1,) + (1,) * (i - 1)
-        # each hook holds the one before it, so no later hook fits in lam
-        if not contains(lam, hook):
-            break
+    width = n - k - j + 1
+    # the hook (width, 1^(i-1)) fits in lam exactly when lam_1 >= width and
+    # lam has at least i rows
+    for i in range(1, len(lam) + 1 if lam and lam[0] >= width else 1):
+        hook = (width,) + (1,) * (i - 1)
         coeff_i = APoly.gen(i) * (1 if i % 2 else -1)
-        for nu, c in _lr_walk(lam, hook, len(lam)).items():
+        for nu, c in _skew(lam, hook).items():
             add_product(sums.setdefault(nu, {}), coeff_i, c)
     return QuotElem._trusted((k, n), polys_of(sums))
 
@@ -375,6 +380,24 @@ def specialize_elem(f, values):
 
 
 # -- verification scans ------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _fillings(k, n, lam):
+    """The filling table of a box shape lam: the groups {need: {content:
+    count}} of _lr_walk over the cells of lam, values at most k, with room
+    n-k for every value, which the gaps of every box shape fit.  Cached
+    for the S3 scan, whose slabs read every shape's table, so a table is
+    shared and only read; the positivity slab builds its first factor's
+    table through __wrapped__ and drops it."""
+    return _lr_walk(lam, (), k, (n - k,) * (k - 1))
+
+
+def _read_product(lam, mu, k, fillings):
+    """The LR expansion of s[lam] * s[mu] in k variables, read at mu from
+    fillings, the _fillings of lam: the one expansion of an ordered pair in
+    the scans, as schur_product_expand is everywhere else."""
+    return _lr_read(fillings, mu, k)
+
 
 def s3_report(k, n, jobs=1):
     """Check full symmetry of the structure constants: for every unordered
@@ -410,16 +433,19 @@ def _s3_slab(k, n, box, comp, i):
     """The failing triples of the slab of rows s[alpha] * s[y], alpha =
     box[i], as sorted index triples {i, j, l}: g(alpha, y, z) != g(alpha,
     z, y); g(alpha, y, z) != g(y, alpha, z) for y after alpha, where s[y] *
-    s[alpha] is built only if its LR expansion differs, as a row is a
-    function of its expansion; and g((), y, z) off the duality value.  box
-    is enumerate_pkn(k, n) and comp[l] the packed key of the complement of
+    s[alpha] is built only if its LR expansion, read from y's filling table
+    as the row's is from alpha's, differs, as a row is a function of its
+    expansion; and g((), y, z) off the duality value.  box is
+    enumerate_pkn(k, n) and comp[l] the packed key of the complement of
     box[l], both built once per scan."""
     alpha = box[i]
+    fillings = _fillings(k, n, alpha)
     rows, bad = [], set()
     for j, y in enumerate(box):
-        expansion = schur_product_expand(alpha, y, k)
+        expansion = _read_product(alpha, y, k, fillings)
         rows.append(_product_row(k, n, expansion))
-        if j > i and expansion != (other := schur_product_expand(y, alpha, k)):
+        if j > i and expansion != (other := _read_product(
+                y, alpha, k, _fillings(k, n, y))):
             swapped = _product_row(k, n, other)
             bad.update((i, j, l) for l, c in enumerate(comp)
                        if rows[j].get(c) != swapped.get(c))
@@ -511,10 +537,11 @@ def _positivity_slab(k, n, box, i):
     |c_nu| * top_nu reaches 2**(width-1).  Then N + mask keeps every top bit
     exactly when no coefficient is negative; else N's slots are reported."""
     lam = box[i]
+    fillings = _fillings.__wrapped__(k, n, lam)
     out = []
     for mu in box[i:]:
         base = size(lam) + size(mu)
-        expansion = schur_product_expand(lam, mu, k)
+        expansion = _read_product(lam, mu, k, fillings)
         table = _graded(k, n, base)
         keys, classes, width, mask = table[0]
         if not classes.keys() >= expansion.keys():

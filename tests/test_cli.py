@@ -396,6 +396,7 @@ def test_dead_worker_exits_3(capsys, monkeypatch):
     fails the scan with exit code 3, not 1, and no traceback."""
     monkeypatch.setattr(quotient, "schur_product_expand",
                         lambda *a: os._exit(1))
+    monkeypatch.setattr(quotient, "_read_product", lambda *a: os._exit(1))
     rc, out, err = run(capsys, "positivity", "--k", "2", "--n", "4",
                        "--jobs", "2")
     assert rc == 3 and out == ""

@@ -573,17 +573,23 @@ def test_positivity_scan_expands_each_pair_once_by_slab(monkeypatch):
     want = positivity_scan(3, 6)
     box = enumerate_pkn(3, 6)
     expand, slab = quotient.schur_product_expand, quotient._positivity_slab
+    read = quotient._read_product
     expanded, slabs = [], []
 
     def recording_expand(lam, mu, k):
         expanded.append((lam, mu))
         return expand(lam, mu, k)
 
+    def recording_read(lam, mu, k, fillings):
+        expanded.append((lam, mu))
+        return read(lam, mu, k, fillings)
+
     def recording_slab(k, n, box, i):
         slabs.append(i)
         return slab(k, n, box, i)
 
     monkeypatch.setattr(quotient, "schur_product_expand", recording_expand)
+    monkeypatch.setattr(quotient, "_read_product", recording_read)
     monkeypatch.setattr(quotient, "_positivity_slab", recording_slab)
     assert positivity_scan(3, 6) == want
     assert expanded == list(combinations_with_replacement(box, 2))
@@ -594,6 +600,57 @@ def test_positivity_scan_expands_each_pair_once_by_slab(monkeypatch):
 def test_parallel_scans_equal_serial(k, n):
     assert s3_report(k, n, jobs=2) == s3_report(k, n)
     assert positivity_scan(k, n, jobs=2) == positivity_scan(k, n)
+
+
+# -- filling tables -----------------------------------------------------------
+
+@pytest.mark.parametrize("k, n", [(k, n) for n in range(2, 9)
+                                  for k in range(1, n)] + [(4, 9)])
+def test_filling_tables_read_every_box_product(k, n):
+    """Each box shape's filling table, read at every box shape, is the LR
+    expansion that the walk started at that shape gives: k = 1 has only
+    the empty need, and n - k = 1 the least room."""
+    box = enumerate_pkn(k, n)
+    for lam in box:
+        fillings = quotient._fillings(k, n, lam)
+        assert all(len(need) == k - 1 for need in fillings)
+        for mu in box:
+            assert quotient._read_product(lam, mu, k, fillings) == \
+                schur_product_expand(lam, mu, k), (lam, mu)
+    clear_caches()
+
+
+def test_s3_scan_flags_a_table_corrupted_for_one_shape(monkeypatch):
+    """Doubling every count in the filling table of one shape alone breaks
+    the (12) check: s[sigma] * s[y] is read from sigma's table and s[y] *
+    s[sigma] from y's.  The flagged triples are those {sigma, y, z}, y not
+    sigma, with g(sigma, y, z) nonzero; their six reads, through
+    schur_product_expand, see no table and agree."""
+    k, n, sigma = 2, 5, (2, 1)
+    fillings = quotient._fillings
+
+    def corrupted(k, n, lam):
+        table = fillings(k, n, lam)
+        if lam != sigma:
+            return table
+        return {need: {c: 2 * m for c, m in contents.items()}
+                for need, contents in table.items()}
+
+    monkeypatch.setattr(quotient, "_fillings", corrupted)
+    box = enumerate_pkn(k, n)
+    want = sorted({tuple(sorted((sigma, y, z), key=box.index))
+                   for y, z in product(box, repeat=2)
+                   if y != sigma and structure_constant(k, n, sigma, y, z)})
+    for jobs in (1, 2) if multiprocessing.get_start_method() == "fork" \
+            else (1,):
+        report = s3_report(k, n, jobs=jobs)
+        assert not report["ok"]
+        got = [(c["alpha"], c["beta"], c["gamma"])
+               for c in report["counterexamples"]]
+        assert sorted(got) == want
+        assert all(len(set(c["permuted"])) == 1
+                   for c in report["counterexamples"])
+    clear_caches()
 
 
 def _times_class(k, n, nu, poly):
@@ -616,14 +673,26 @@ def _times_class(k, n, nu, poly):
     return out
 
 
+def _corrupt_reads(monkeypatch, fn):
+    """Make every LR expansion that quotient reads fn(lam, mu, k,
+    expansion) for the ordered pair (lam, mu): the scans' reads of the
+    filling tables (_read_product) and schur_product_expand, which
+    structure_constant and the oracles read.  fn gets a new dict and
+    returns one."""
+    expand, read = quotient.schur_product_expand, quotient._read_product
+    monkeypatch.setattr(quotient, "schur_product_expand", lambda lam, mu, k:
+                        fn(lam, mu, k, dict(expand(lam, mu, k))))
+    monkeypatch.setattr(quotient, "_read_product",
+                        lambda lam, mu, k, fillings:
+                        fn(lam, mu, k, dict(read(lam, mu, k, fillings))))
+
+
 def _corrupt_product(monkeypatch, n, pair, nu, fn):
     """Make the product s[lam] * s[mu] at (k, n) hold fn(coefficient) at nu
     for the ordered pair (lam, mu) only, by adding to its LR expansion,
     which the graded check and the substitution oracle both read."""
-    expand = quotient.schur_product_expand
 
-    def corrupted(lam, mu, k):
-        expansion = expand(lam, mu, k)
+    def corrupted(lam, mu, k, expansion):
         if (lam, mu) != pair:
             return expansion
         g = straighten_combination(k, n, expansion).terms.get(
@@ -632,16 +701,15 @@ def _corrupt_product(monkeypatch, n, pair, nu, fn):
         out.update(_times_class(k, n, nu, fn(g) - g))
         return {shape: c for shape, c in out.items() if c}
 
-    monkeypatch.setattr(quotient, "schur_product_expand", corrupted)
+    _corrupt_reads(monkeypatch, corrupted)
 
 
 def _corrupt_expansion(monkeypatch, fn):
     """Make every LR expansion that quotient reads, for the scans' rows and
     for structure_constant, fn(lam, mu, expansion) for the ordered pair
     (lam, mu); fn gets a new dict and returns one."""
-    expand = quotient.schur_product_expand
-    monkeypatch.setattr(quotient, "schur_product_expand", lambda lam, mu, k:
-                        fn(lam, mu, dict(expand(lam, mu, k))))
+    _corrupt_reads(monkeypatch, lambda lam, mu, k, expansion:
+                   fn(lam, mu, expansion))
 
 
 def _bump_s3_pair(lam, mu, expansion):
@@ -1073,7 +1141,7 @@ def test_straighten_combination_drops_cancelled_terms():
 
 def test_clear_caches_empties_every_cache():
     """The package's caches, found as clear_caches finds them (module
-    attributes with cache_clear), are exactly the five with repeat reads,
+    attributes with cache_clear), are exactly the six with repeat reads,
     so a new cache fails here until it is listed; clear_caches empties
     them all and the results stay the same."""
     caches = {}
@@ -1084,8 +1152,8 @@ def test_clear_caches_empties_every_cache():
                 caches[f"{fn.__module__}.{fn.__qualname__}"] = fn
     assert sorted(caches) == [
         "schurbox.bases._kostka_inverse", "schurbox.quotient._fields",
-        "schurbox.quotient._graded", "schurbox.quotient._straighten",
-        "schurbox.tableaux.kostka"]
+        "schurbox.quotient._fillings", "schurbox.quotient._graded",
+        "schurbox.quotient._straighten", "schurbox.tableaux.kostka"]
 
     def results():
         return (s3_report(2, 5), positivity_scan(2, 5),

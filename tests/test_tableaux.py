@@ -237,7 +237,8 @@ def _shape_products(mu, nu, k):
     """s_mu s_nu in k variables: the walk on nu * mu, nu on top shifted
     past mu_1 and mu below it, with every value at most k."""
     top = mu[0] if mu else 0
-    return _lr_walk(tuple(top + p for p in nu) + mu, (top,) * len(nu), k)
+    return _lr_walk(tuple(top + p for p in nu) + mu, (top,) * len(nu),
+                    k).get((), {})
 
 
 @pytest.mark.parametrize("n", range(1, 9))
