@@ -31,14 +31,15 @@ equal exactly when their tuples are.
 
 Products follow Bertram, Ciocan-Fontanine and Fulton (J. Algebra, 1999):
 expand in k variables by the Littlewood-Richardson rule, then straighten
-the sum once (``multiply`` and the family steps of ``bases``).  No product
-is cached: both scans run one slab per first factor alpha, and the S3 scan
-holds the rows s[alpha] * s[y] of one slab at a time.  The scans read each
-LR expansion s[lam] * s[mu] from the filling table of lam (``_fillings``),
-lam's lattice fillings walked once and grouped by need, at mu
-(``_read_product``).  The positivity slab builds its alpha's table and
-drops it; the S3 slab also reads s[y] * s[alpha] from y's table, so it
-keeps every box shape's table for the scan, one set per process.
+the sum once (``multiply``, which ``structure_constant`` reads, and the
+family steps of ``bases``).  No product is cached: both scans run one slab
+per first factor alpha, and the S3 scan holds the rows s[alpha] * s[y] of
+one slab at a time.  The scans read each LR expansion s[lam] * s[mu] from
+the filling table of lam (``_fillings``), lam's lattice fillings walked
+once and grouped by need, at mu (``_read_product``).  The positivity slab
+builds its alpha's table and drops it; the S3 slab also reads
+s[y] * s[alpha] from y's table, so it keeps every box shape's table for
+the scan, one set per process.
 
 The positivity scan checks each product on graded integers (Kronecker
 substitution, as in Harvey, J. Symbolic Comput. 2009).  Every packed key of
@@ -171,10 +172,9 @@ def _monomial_key(e, shift):
     return sum(x << (j * _W) for j, x in enumerate(e)) << shift
 
 
-@lru_cache(maxsize=None)
 def _fields(bits, width):
     """The width-bit fields of bits, lowest first, up to its last nonzero
-    one: a packed partition or exponent vector, unpacked once and shared."""
+    one: a packed partition or exponent vector, unpacked."""
     mask = (1 << width) - 1
     out = []
     while bits:
@@ -321,13 +321,9 @@ def multiply(f, g):
 def structure_constant(k, n, alpha, beta, gamma):
     """g(alpha, beta, gamma) = coeff of s[complement(gamma)] in
     s[alpha] * s[beta]; symmetric in all three arguments.  Returns a new
-    APoly, read from a row built for this call."""
-    check_context(k, n)
-    alpha, beta, gamma = (check_partition(p) for p in (alpha, beta, gamma))
-    for p in (alpha, beta, gamma):
-        check_in_box(p, k, n)
-    row = _product_row(k, n, schur_product_expand(alpha, beta, k))
-    return _coeff(row.get(_pack(k, n, complement(gamma, k, n)), ()))
+    APoly, read from the product that multiply builds for this call."""
+    f, g = QuotElem.basis(k, n, alpha), QuotElem.basis(k, n, beta)
+    return multiply(f, g).coeff(complement(check_partition(gamma), k, n))
 
 
 # -- Pieri rule --------------------------------------------------------------

@@ -1069,6 +1069,22 @@ def test_straighten_coefficients_are_not_the_cached_ones():
     assert straighten_schur(2, 4, (3,)).render() == "a1*s[]"
 
 
+def test_structure_constant_validates_its_arguments():
+    """A bad context, or an alpha, beta or gamma that is not a partition or
+    does not fit the box, is a ValueError, whichever slot it is in."""
+    for (k, n), match in (((0, 4), "k >= 1"), ((5, 4), "k <= n"),
+                          ((2, "4"), "integers")):
+        with pytest.raises(ValueError, match=match):
+            structure_constant(k, n, (1,), (1,), (1,))
+    for bad, match in (((1, 2), "decreasing"), ((-1,), "nonnegative"),
+                       ((1.5,), "integers"), ((3,), "does not fit"),
+                       ((1, 1, 1), "does not fit")):
+        for args in ((bad, (1,), (1,)), ((1,), bad, (1,)),
+                     ((1,), (1,), bad)):
+            with pytest.raises(ValueError, match=match):
+                structure_constant(2, 4, *args)
+
+
 def test_structure_constant_is_not_the_table_entry():
     f, g = QuotElem.basis(2, 4, (2,)), QuotElem.basis(2, 4, (1,))
     before = multiply(f, g).render()
@@ -1141,7 +1157,7 @@ def test_straighten_combination_drops_cancelled_terms():
 
 def test_clear_caches_empties_every_cache():
     """The package's caches, found as clear_caches finds them (module
-    attributes with cache_clear), are exactly the six with repeat reads,
+    attributes with cache_clear), are exactly the five with repeat reads,
     so a new cache fails here until it is listed; clear_caches empties
     them all and the results stay the same."""
     caches = {}
@@ -1151,9 +1167,9 @@ def test_clear_caches_empties_every_cache():
             if hasattr(fn, "cache_clear"):
                 caches[f"{fn.__module__}.{fn.__qualname__}"] = fn
     assert sorted(caches) == [
-        "schurbox.bases._kostka_inverse", "schurbox.quotient._fields",
-        "schurbox.quotient._fillings", "schurbox.quotient._graded",
-        "schurbox.quotient._straighten", "schurbox.tableaux.kostka"]
+        "schurbox.bases._kostka_inverse", "schurbox.quotient._fillings",
+        "schurbox.quotient._graded", "schurbox.quotient._straighten",
+        "schurbox.tableaux.kostka"]
 
     def results():
         return (s3_report(2, 5), positivity_scan(2, 5),
